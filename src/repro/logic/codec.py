@@ -13,18 +13,30 @@ lookup.
 Encoding is total on the *trace* side: symbols outside the codec's
 alphabet are simply dropped (they read false under the restricted
 alphabet, exactly as :meth:`Valuation.restricted` would make them).
+
+Guards are tabulated bit-parallel: a ``2^k``-bit integer holds one
+truth value per valuation, so evaluating an expression tree once over
+such integers (``&``/``|``/complement per connective) yields its whole
+truth table — no per-valuation interpretation.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExprError
+from repro.logic.expr import And, Const, EventRef, Not, Or, PropRef
 from repro.logic.valuation import Valuation
 from repro.slots import SlotPickle
 
-__all__ = ["AlphabetCodec", "clear_trace_cache", "trace_cache_info"]
+__all__ = [
+    "AlphabetCodec",
+    "clear_trace_cache",
+    "symbol_patterns",
+    "trace_cache_info",
+]
 
 #: Valuation enumeration beyond this many symbols is refused — the same
 #: tractability cap the synthesis layer applies to ``2^|Sigma|``.
@@ -42,6 +54,32 @@ _TRACE_CACHE: Dict[tuple, Tuple[object, array]] = {}
 _TRACE_CACHE_LIMIT = 256
 _trace_cache_hits = 0
 _trace_cache_misses = 0
+
+
+#: ``(mask, error)`` — the first valuation whose evaluation raises.
+Fault = Tuple[int, ExprError]
+
+
+@lru_cache(maxsize=MAX_CODEC_SYMBOLS + 1)
+def symbol_patterns(width: int) -> Tuple[int, ...]:
+    """Per-symbol truth bitmaps over a ``width``-symbol alphabet.
+
+    ``patterns[i]`` is the ``2^width``-bit integer whose bit ``m`` is
+    set iff valuation mask ``m`` has bit ``i`` — the truth table of
+    the ``i``-th symbol.  Each is a period of ``2^i`` zeros then
+    ``2^i`` ones, doubled out to the full width.
+    """
+    size = 1 << width
+    patterns = []
+    for index in range(width):
+        run = 1 << index
+        pattern = ((1 << run) - 1) << run
+        period = run << 1
+        while period < size:
+            pattern |= pattern << period
+            period <<= 1
+        patterns.append(pattern)
+    return tuple(patterns)
 
 
 def trace_cache_info() -> Dict[str, int]:
@@ -217,14 +255,71 @@ class AlphabetCodec(SlotPickle):
         """Bitmap of ``expr`` over all masks: bit ``m`` set iff true at ``m``.
 
         ``expr`` must not contain scoreboard checks (its truth must be a
-        function of the input valuation alone).
+        function of the input valuation alone); a ``Chk_evt`` reached
+        under some valuation raises the same :class:`ExprError` that
+        evaluating the guard there would.
         """
-        fn = expr.compile(self)
-        bitmap = 0
-        for mask in range(self.size):
-            if fn(mask, None):
-                bitmap |= 1 << mask
+        bitmap, fault = self.tabulate(expr)
+        if fault is not None:
+            raise fault[1]
         return bitmap
+
+    def tabulate(self, expr) -> Tuple[int, Optional[Fault]]:
+        """``(bitmap, fault)``: :meth:`truth_table` without raising.
+
+        The tree is evaluated once over ``2^k``-bit integers.  Each node
+        also carries its *reach* — the masks at which short-circuit
+        evaluation (``And`` stops at the first false argument, ``Or`` at
+        the first true one) actually visits it.  ``Chk_evt`` atoms, and
+        expression classes outside the core AST, are evaluated through
+        their own :meth:`~repro.logic.expr.Expr.evaluate` on the masks
+        they are reached at, so ``fault`` is exactly the error
+        per-valuation evaluation would raise first: the lowest mask at
+        which one fails, the leftmost failing node on ties.  ``bitmap``
+        is exact on every mask below the fault.
+        """
+        bits = dict(zip(self.symbols, symbol_patterns(len(self.symbols))))
+        full = (1 << self.size) - 1
+        fault: Optional[Fault] = None
+
+        def visit(node, reach: int) -> int:
+            nonlocal fault
+            if not reach:
+                return 0  # never evaluated: the value is irrelevant
+            if isinstance(node, (EventRef, PropRef)):
+                return bits.get(node.name, 0)
+            if isinstance(node, And):
+                value = full
+                for arg in node.args:
+                    value &= visit(arg, reach & value)
+                return value
+            if isinstance(node, Not):
+                return full ^ visit(node.operand, reach)
+            if isinstance(node, Or):
+                value = 0
+                for arg in node.args:
+                    value |= visit(arg, reach & ~value)
+                return value
+            if isinstance(node, Const):
+                return full if node.value else 0
+            # Scoreboard checks and expression classes outside the core
+            # AST: evaluate per reached valuation, lowest mask first.
+            value = 0
+            while reach:
+                low = reach & -reach
+                reach ^= low
+                mask = low.bit_length() - 1
+                try:
+                    if node.evaluate(self.decode(mask)):
+                        value |= low
+                except ExprError as error:
+                    if fault is None or mask < fault[0]:
+                        fault = (mask, error)
+                    break
+            return value
+
+        bitmap = visit(expr, full)
+        return bitmap, fault
 
     # -- dunder ----------------------------------------------------------
     def __len__(self) -> int:

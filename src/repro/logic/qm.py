@@ -16,7 +16,6 @@ The API works on minterm index sets; :func:`minimize_expr` adapts it to
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.logic.expr import (
@@ -99,27 +98,37 @@ def prime_implicants(
     are interpreted over ``width`` variables (bit ``width-1`` is the
     first variable).
     """
-    current: Set[Implicant] = {
-        Implicant(m, 0, width) for m in set(minterms) | set(dont_cares)
+    terms: Set[Tuple[int, int]] = {
+        (m, 0) for m in set(minterms) | set(dont_cares)
     }
-    primes: Set[Implicant] = set()
-    while current:
-        merged: Set[Implicant] = set()
-        used: Set[Implicant] = set()
-        ordered = sorted(current, key=lambda t: (t.mask, t.bits))
-        by_mask: Dict[int, List[Implicant]] = {}
-        for term in ordered:
-            by_mask.setdefault(term.mask, []).append(term)
-        for terms in by_mask.values():
-            for left, right in combinations(terms, 2):
-                combined = left.try_merge(right)
-                if combined is not None:
-                    merged.add(combined)
-                    used.add(left)
-                    used.add(right)
-        primes |= current - used
-        current = merged
-    return sorted(primes, key=lambda t: (t.mask, t.bits))
+    # Positions a term may merge across: normally ``width``, widened
+    # for out-of-range indices so every one-bit neighbour is found.
+    span = max([width] + [bits.bit_length() for bits, _ in terms])
+    positions = (1 << span) - 1
+    primes: Set[Tuple[int, int]] = set()
+    while terms:
+        # Two terms merge iff they share a don't-care mask and differ
+        # in one fixed bit; looking each term's partner up by that bit
+        # (set in the partner, clear in the term) finds every pair once.
+        merged: Set[Tuple[int, int]] = set()
+        used: Set[Tuple[int, int]] = set()
+        for term in terms:
+            bits, mask = term
+            free = positions & ~(bits | mask)
+            while free:
+                bit = free & -free
+                free ^= bit
+                partner = (bits | bit, mask)
+                if partner in terms:
+                    merged.add((bits, mask | bit))
+                    used.add(term)
+                    used.add(partner)
+        primes |= terms - used
+        terms = merged
+    return [
+        Implicant(bits, mask, width)
+        for bits, mask in sorted(primes, key=lambda t: (t[1], t[0]))
+    ]
 
 
 def minimum_cover(
@@ -145,7 +154,6 @@ def minimum_cover(
     while changed and remaining:
         changed = False
         for m in list(remaining):
-            coverers = [i for i in chart[m] if m in remaining]
             if len(chart[m]) == 1:
                 essential = primes[chart[m][0]]
                 if essential not in chosen:

@@ -20,18 +20,22 @@ which events the scoreboard happens to hold.
 The valuation enumeration is routed through
 :class:`~repro.logic.codec.AlphabetCodec` masks, so this layer shares
 the codec's ``2^MAX_CODEC_SYMBOLS`` tractability cap instead of
-silently attempting an astronomically wide enumeration.
+silently attempting an astronomically wide enumeration.  Guards are
+tabulated bit-parallel — one ``2^|Sigma|``-bit truth bitmap per
+transition and check assignment — and moves are scattered over the
+bitmaps' set bits rather than resolved valuation by valuation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
-from repro.errors import ExprError, MonitorError
+from repro.errors import MonitorError
 from repro.logic.codec import MAX_CODEC_SYMBOLS, AlphabetCodec
-from repro.logic.expr import ScoreboardCheck, scoreboard_checks_of, substitute_checks
+from repro.logic.expr import And, Expr, Not, Or, ScoreboardCheck, scoreboard_checks_of
 from repro.logic.qm import minimize_expr
-from repro.logic.valuation import Valuation
 from repro.monitor.automaton import Monitor, Transition
 
 __all__ = ["minimize_monitor", "transition_function"]
@@ -73,31 +77,109 @@ def transition_function(
             "transition function is scoreboard-dependent"
         )
     codec = _codec_for(monitor)
+    full = (1 << codec.size) - 1
     table: Dict[Tuple[int, FrozenSet[str]], int] = {}
     for state in monitor.states:
         outgoing = monitor.transitions_from(state)
+        tabulated = [codec.tabulate(t.guard) for t in outgoing]
+        # The first guard evaluation that would raise: lowest mask,
+        # then declaration order.  Bitmaps are exact below it.
+        fault = None
+        for transition, (_, guard_fault) in zip(outgoing, tabulated):
+            if guard_fault is not None and (
+                fault is None or guard_fault[0] < fault[0][0]
+            ):
+                fault = (guard_fault, transition)
+        by_target: Dict[int, int] = {}
+        for transition, (bitmap, _) in zip(outgoing, tabulated):
+            by_target[transition.target] = (
+                by_target.get(transition.target, 0) | bitmap
+            )
+        bad = _not_exactly_one(by_target.values(), full)
+        if fault is not None:
+            bad &= (1 << fault[0][0]) - 1
+        if bad:
+            mask = _lowest_bit(bad)
+            enabled = sum(bitmap >> mask & 1 for bitmap, _ in tabulated)
+            raise MonitorError(
+                f"monitor {monitor.name!r}: state {state} has "
+                f"{enabled} enabled transitions on {codec.decode(mask)!r}"
+            )
+        if fault is not None:
+            (_, error), transition = fault
+            raise MonitorError(
+                f"guard {transition.guard!r} is scoreboard-dependent: {error}"
+            ) from error
+        target_of: List[int] = [0] * codec.size
+        for target, bitmap in by_target.items():
+            for mask in _set_bits(bitmap):
+                target_of[mask] = target
         for mask in codec.all_masks():
-            valuation = codec.decode(mask)
-            enabled = [
-                t for t in outgoing
-                if _guard_holds(t, valuation)
-            ]
-            if len({t.target for t in enabled}) != 1:
-                raise MonitorError(
-                    f"monitor {monitor.name!r}: state {state} has "
-                    f"{len(enabled)} enabled transitions on {valuation!r}"
-                )
-            table[(state, valuation.true)] = enabled[0].target
+            table[(state, codec.decode(mask).true)] = target_of[mask]
     return table
 
 
-def _guard_holds(transition: Transition, valuation: Valuation) -> bool:
-    try:
-        return transition.guard.evaluate(valuation)
-    except ExprError as error:  # Chk_evt evaluated without a scoreboard
-        raise MonitorError(
-            f"guard {transition.guard!r} is scoreboard-dependent: {error}"
-        ) from error
+def _lowest_bit(bitmap: int) -> int:
+    """Index of the lowest set bit of a non-zero ``bitmap``."""
+    return (bitmap & -bitmap).bit_length() - 1
+
+
+def _set_bits(bitmap: int) -> Iterator[int]:
+    """Indices of the set bits of ``bitmap``, ascending."""
+    digits = bin(bitmap)[:1:-1]  # LSB first, ``0b`` prefix dropped
+    index = digits.find("1")
+    while index >= 0:
+        yield index
+        index = digits.find("1", index + 1)
+
+
+def _not_exactly_one(bitmaps: Iterable[int], full: int) -> int:
+    """Masks set in none, or in more than one, of ``bitmaps``."""
+    seen = multi = 0
+    for bitmap in bitmaps:
+        multi |= seen & bitmap
+        seen |= bitmap
+    return multi | (full ^ seen)
+
+
+def _assignment_bitmaps(
+    guard: Expr, codec: AlphabetCodec, checks: Tuple[str, ...]
+) -> List[int]:
+    """Truth bitmap of ``guard`` under each ``Chk_evt`` assignment.
+
+    Entry ``a`` is the guard's input truth table with every check
+    fixed by assignment ``a`` (bit ``i`` = truth of ``checks[i]``).
+    Check-free subtrees are tabulated once and shared by every
+    assignment; only the connectives above a check are re-combined
+    per assignment.
+    """
+    n_assignments = 1 << len(checks)
+    full = (1 << codec.size) - 1
+    index_of = {check: index for index, check in enumerate(checks)}
+
+    def lift(node: Expr) -> List[int]:
+        if isinstance(node, ScoreboardCheck):
+            bit = 1 << index_of[node.event]
+            return [full if a & bit else 0 for a in range(n_assignments)]
+        if isinstance(node, Not):
+            return [full ^ value for value in lift(node.operand)]
+        if isinstance(node, (And, Or)):
+            pure: List[Expr] = []
+            mixed: List[Expr] = []
+            for arg in node.args:
+                (mixed if scoreboard_checks_of(arg) else pure).append(arg)
+            if mixed:
+                rows = [codec.truth_table(type(node)(tuple(pure)))]
+                rows *= n_assignments
+                for arg in mixed:
+                    if isinstance(node, And):
+                        rows = [r & v for r, v in zip(rows, lift(arg))]
+                    else:
+                        rows = [r | v for r, v in zip(rows, lift(arg))]
+                return rows
+        return [codec.truth_table(node)] * n_assignments
+
+    return lift(guard)
 
 
 class _StateBehaviour:
@@ -120,7 +202,12 @@ class _StateBehaviour:
 def _state_behaviour(
     monitor: Monitor, codec: AlphabetCodec, state: int
 ) -> _StateBehaviour:
-    """Resolve ``state``'s moves for every valuation and check truth."""
+    """Resolve ``state``'s moves for every valuation and check truth.
+
+    Raises :class:`MonitorError` on the first cell, in mask-major order
+    (lowest mask, then lowest assignment), that fires no move or
+    several distinct ones.
+    """
     outgoing = monitor.transitions_from(state)
     check_set: set = set()
     for transition in outgoing:
@@ -133,44 +220,44 @@ def _state_behaviour(
             f"2^{MAX_CODEC_SYMBOLS} assignment-enumeration cap"
         )
     n_assignments = 1 << len(checks)
-    # Truth bitmaps per (assignment, transition): with checks fixed the
-    # guard is a pure input function, tabulated in one codec pass.
-    enabled: List[List[Tuple[int, Transition]]] = []
-    for assignment in range(n_assignments):
-        values = {
-            check: bool(assignment >> index & 1)
-            for index, check in enumerate(checks)
-        }
-        entries: List[Tuple[int, Transition]] = []
-        for transition in outgoing:
-            fixed = substitute_checks(transition.guard, values).simplify()
-            bitmap = codec.truth_table(fixed)
+    full = (1 << codec.size) - 1
+    # Per assignment, the masks firing each distinct move: one bitmap
+    # per transition and assignment, scattered by (actions, target).
+    fired: List[Dict[_Move, int]] = [{} for _ in range(n_assignments)]
+    for transition in outgoing:
+        move = (transition.actions, transition.target)
+        bitmaps = _assignment_bitmaps(transition.guard, codec, checks)
+        for cover, bitmap in zip(fired, bitmaps):
             if bitmap:
-                entries.append((bitmap, transition))
-        enabled.append(entries)
-    moves: List[List[_Move]] = []
-    for mask in codec.all_masks():
-        bit = 1 << mask
-        per_assignment: List[_Move] = []
-        for assignment in range(n_assignments):
-            fired = {
-                (t.actions, t.target)
-                for bitmap, t in enabled[assignment]
-                if bitmap & bit
-            }
-            if len(fired) != 1:
-                kind = "no move" if not fired else (
-                    f"{len(fired)} conflicting moves"
-                )
-                held = [c for i, c in enumerate(checks)
-                        if assignment >> i & 1]
-                raise MonitorError(
-                    f"monitor {monitor.name!r}: state {state} has {kind} "
-                    f"on {codec.decode(mask)!r} with scoreboard checks "
-                    f"{held or '{}'} assumed true"
-                )
-            per_assignment.append(next(iter(fired)))
-        moves.append(per_assignment)
+                cover[move] = cover.get(move, 0) | bitmap
+    # Report the first ill-formed cell in mask-major order (lowest
+    # mask, then lowest assignment), as a per-cell scan would.
+    worst: Optional[Tuple[int, int]] = None
+    for assignment, cover in enumerate(fired):
+        bad = _not_exactly_one(cover.values(), full)
+        if bad:
+            cell = (_lowest_bit(bad), assignment)
+            if worst is None or cell < worst:
+                worst = cell
+    if worst is not None:
+        mask, assignment = worst
+        count = sum(
+            bitmap >> mask & 1 for bitmap in fired[assignment].values()
+        )
+        kind = "no move" if not count else f"{count} conflicting moves"
+        held = [c for i, c in enumerate(checks) if assignment >> i & 1]
+        raise MonitorError(
+            f"monitor {monitor.name!r}: state {state} has {kind} "
+            f"on {codec.decode(mask)!r} with scoreboard checks "
+            f"{held or '{}'} assumed true"
+        )
+    moves: List[List[_Move]] = [
+        [None] * n_assignments for _ in range(codec.size)
+    ]
+    for assignment, cover in enumerate(fired):
+        for move, bitmap in cover.items():
+            for mask in _set_bits(bitmap):
+                moves[mask][assignment] = move
     return _StateBehaviour(checks, moves)
 
 
@@ -329,9 +416,12 @@ def minimize_monitor(monitor: Monitor) -> Monitor:
     renumber = {old: new for new, old in enumerate(order)}
 
     from repro.synthesis.tr import minterm_expr
-    from repro.logic.expr import And
 
-    alphabet = codec.symbols
+    # One minterm guard per valuation, shared by every block's row.
+    minterms = [
+        minterm_expr(codec.decode(mask).true, codec.symbols, monitor.props)
+        for mask in masks
+    ]
     transitions: List[Transition] = []
     for index, block in enumerate(partition):
         representative = min(block)
@@ -349,9 +439,7 @@ def minimize_monitor(monitor: Monitor) -> Monitor:
                 groups.setdefault(
                     outs[_expand_assignment(sub, kept)], []
                 ).append(sub)
-            minterm = minterm_expr(
-                codec.decode(mask).true, alphabet, monitor.props
-            )
+            minterm = minterms[mask]
             for (actions, target_block), subs in sorted(
                 groups.items(), key=lambda item: repr(item[0])
             ):
