@@ -4,15 +4,16 @@ The synthesis layer turns visual specs into monitors; this package
 turns *real simulation dumps* into the valuation streams those
 monitors consume, and scales checking beyond a single process:
 
-* :mod:`repro.trace.vcd_reader` — :class:`VcdReader`, a chunked,
-  incremental VCD parser (the counterpart of
-  :class:`~repro.sim.vcd.VcdWriter`) with a configurable
-  signal-to-symbol :class:`SignalBinding`;
+* :mod:`repro.trace.vcd_reader` — :class:`VcdReader`, the one VCD
+  front-end: a block-by-block delta tokenizer and sampling replay (the
+  counterpart of :class:`~repro.sim.vcd.VcdWriter`) with a
+  configurable signal-to-symbol :class:`SignalBinding`;
 * :mod:`repro.trace.bridge` — :func:`trace_to_vcd`, rendering recorded
   traces as VCD dumps (fixtures, golden files, viewer hand-off);
 * :mod:`repro.trace.columnar` — :class:`ColumnarTraceSet`, the binary
   ``.rtrc`` columnar store of pre-encoded mask arrays, with the
-  chunk-parallel VCD converter (:func:`masks_from_vcd`) and the
+  chunk-parallel VCD converter (:func:`masks_from_vcd`, the same
+  tokenizer and replay fanned out across worker processes) and the
   content-addressed corpus ingest (:func:`ingest_vcd`);
 * :mod:`repro.trace.streaming` — :class:`StreamingChecker`, online
   checking with bounded memory and early exit;

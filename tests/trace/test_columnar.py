@@ -1,6 +1,9 @@
 """Tests for the ``.rtrc`` columnar trace store (format + round-trips)."""
 
+import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -247,3 +250,16 @@ def test_verify_payload_tracks_recorded_crc(columnar_mode):
     # Round-tripped sets do, and an intact payload passes.
     loaded = ColumnarTraceSet.from_bytes(_sample_set().to_bytes())
     assert loaded.verify_payload() is loaded
+
+
+# ---------------------------------------------------------- lazy NumPy ----
+@pytest.mark.parametrize("module", ["repro", "repro.trace.vcd_reader"])
+def test_import_does_not_load_numpy(module):
+    """NumPy loads on first columnar use, never at import time."""
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("REPRO_NO_NUMPY", None)
+    script = f"import sys, {module}; assert 'numpy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

@@ -1,12 +1,11 @@
 """Differential suite: the chunk-parallel VCD front-end is byte-exact.
 
-Every case checks the lean delta parser + replay
-(:func:`~repro.trace.columnar.masks_from_vcd_text`) against the
-sequential :class:`~repro.trace.vcd_reader.VcdReader` reference —
-identical mask streams whatever the chunk seams, in both NumPy and
-fallback modes — and that all three checking paths (sequential VCD
-streaming, chunk-parallel conversion, warm cached columnar) hand the
-monitor identical verdicts.
+Every case checks the delta parser + replay behind
+:func:`~repro.trace.columnar.masks_from_vcd_text` against the frozen
+sequential reference reader (``vcd_reference``) — identical mask
+streams whatever the chunk seams, in both NumPy and fallback modes —
+and that all three checking paths (streaming VCD, chunk-parallel
+conversion, warm cached columnar) hand the monitor identical verdicts.
 """
 
 import os
@@ -32,6 +31,7 @@ from repro.trace.columnar import masks_from_vcd_text
 from repro.trace.shard import run_sharded_vcd
 from repro.trace.streaming import StreamingChecker
 from repro.trace.vcd_reader import SignalBinding, VcdReader
+from vcd_reference import reference_masks
 
 
 @pytest.fixture(params=["numpy", "fallback"])
@@ -45,9 +45,12 @@ def columnar_mode(request, monkeypatch):
     return request.param
 
 
-def _sequential(text, codec, binding=None, **kwargs):
-    reader = VcdReader.from_text(text, binding=binding)
-    return [codec.encode(v) for v in reader.valuations(**kwargs)]
+_sequential = reference_masks
+
+
+def _body(text):
+    """The value-change body, located by the tokenized header parse."""
+    return text[VcdReader.from_text(text)._body_offset:]
 
 
 def _assert_equivalent(text, codec, binding=None, **kwargs):
@@ -55,7 +58,7 @@ def _assert_equivalent(text, codec, binding=None, **kwargs):
     expected = _sequential(text, codec, binding=binding, **kwargs)
     single = masks_from_vcd_text(text, codec, binding=binding, **kwargs)
     assert list(single) == expected
-    body = text[columnar_module._header_end(text):]
+    body = _body(text)
     seams = [m.start() + 1 for m in re.finditer(r"\n#", body)]
     # Every two-chunk split...
     for seam in seams:
@@ -153,7 +156,7 @@ def test_tricky_dump_windows(columnar_mode):
 
 def test_seam_inside_directive_falls_back(columnar_mode):
     """A seam cutting a directive body still yields the exact stream."""
-    body = TRICKY_VCD[columnar_module._header_end(TRICKY_VCD):]
+    body = _body(TRICKY_VCD)
     bait = body.index("seam bait")
     expected = _sequential(TRICKY_VCD, TRICKY_CODEC, clock="clk")
     masks = masks_from_vcd_text(TRICKY_VCD, TRICKY_CODEC, clock="clk",
@@ -163,7 +166,7 @@ def test_seam_inside_directive_falls_back(columnar_mode):
 
 def test_seam_mid_token_falls_back(columnar_mode):
     """Even a byte-level mid-token seam cannot corrupt the stream."""
-    body = TRICKY_VCD[columnar_module._header_end(TRICKY_VCD):]
+    body = _body(TRICKY_VCD)
     cut = body.index("b1010") + 2  # splits the vector value token
     expected = _sequential(TRICKY_VCD, TRICKY_CODEC, clock="clk")
     masks = masks_from_vcd_text(TRICKY_VCD, TRICKY_CODEC, clock="clk",
@@ -213,20 +216,19 @@ def test_no_numpy_subprocess_differential():
         "from repro.protocols.ocp import ocp_simple_read_chart\n"
         "from repro.synthesis.tr import tr_compiled\n"
         "from repro.trace import columnar\n"
-        "from repro.trace.vcd_reader import VcdReader\n"
+        "from vcd_reference import reference_masks\n"
         "assert columnar._np is None\n"
         "text = ocp_simple_vcd(seed=5)\n"
         "compiled = tr_compiled(ocp_simple_read_chart())\n"
         "codec = compiled.codec\n"
-        "reader = VcdReader.from_text(text)\n"
-        "expected = [codec.encode(v) for v in reader.valuations("
-        "clock='clk')]\n"
+        "expected = reference_masks(text, codec, clock='clk')\n"
         "masks = columnar.masks_from_vcd_text(text, codec, clock='clk')\n"
         "assert list(masks) == expected, (list(masks), expected)\n"
         "print('ok', len(expected))\n"
     )
     env = dict(os.environ, REPRO_NO_NUMPY="1",
-               PYTHONPATH=os.path.abspath(src))
+               PYTHONPATH=os.pathsep.join([os.path.abspath(src),
+                                           os.path.dirname(__file__)]))
     result = subprocess.run([sys.executable, "-c", script], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr

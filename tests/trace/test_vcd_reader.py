@@ -108,16 +108,16 @@ def test_offset_and_until_window_event_sampling():
 
 
 def test_until_stops_reading_early():
-    # A tiny chunk size forces the dump to span many tokenizer
-    # refills; the window's early exit must leave the later chunks
-    # unread (this is what bounds the work on huge dumps — the batch
-    # parser consumes at most one chunk beyond the window).
+    # A tiny chunk size forces the dump to span many blocks; the
+    # window's early exit must leave the later blocks unread (this is
+    # what bounds the work on huge dumps — the parser reads at most
+    # one block beyond the window).
     reader = _reader(chunk_size=8)
     valuations = reader.valuations(clock="clk", until=1)
     assert [sorted(v.true) for v in valuations] == [["req"]]
-    # The token stream was abandoned mid-dump, not drained: the
-    # remaining raw tokens are still unread.
-    assert next(reader._tokens, None) is not None
+    # The stream was abandoned mid-dump, not drained: the remaining
+    # raw text is still unread.
+    assert reader._stream.read()
 
 
 def test_explicit_binding_overlays_identity():
@@ -156,7 +156,7 @@ def test_reader_is_single_use():
     with pytest.raises(TraceError, match="already consumed"):
         reader.trace(clock="clk")
     with pytest.raises(TraceError, match="already consumed"):
-        list(reader.changes())
+        list(reader.valuations())
 
 
 def test_binding_parse_and_errors():
@@ -234,9 +234,9 @@ def test_unterminated_directive_is_reported():
 def test_bad_value_tokens_are_reported():
     header = "$var wire 1 ! a $end\n$enddefinitions $end\n"
     with pytest.raises(TraceError, match="bad timestamp"):
-        list(VcdReader.from_text(header + "#zzz\n").changes())
+        list(VcdReader.from_text(header + "#zzz\n").valuations())
     with pytest.raises(TraceError, match="unexpected value-change"):
-        list(VcdReader.from_text(header + "#0\nqq\n").changes())
+        list(VcdReader.from_text(header + "#0\nqq\n").valuations())
 
 
 def test_initial_values_before_first_timestamp_merge_into_tick_zero():
