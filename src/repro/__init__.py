@@ -28,83 +28,91 @@ See README.md for the architecture tour and DESIGN.md for the paper
 mapping.
 """
 
-from repro.campaign import (
-    CoverageCampaign,
-    DirectedTrace,
-    FaultMutationCampaign,
-    StimulusSynthesizer,
-)
-from repro.cesc.ast import SCESC, CausalityArrow, Clock, EventOccurrence, Tick
-from repro.cesc.builder import ev, scesc
-from repro.cesc.charts import (
-    Alt,
-    AsyncPar,
-    Chart,
-    CrossArrow,
-    Implication,
-    Loop,
-    Par,
-    ScescChart,
-    Seq,
-)
-from repro.cesc.parser import parse_cesc
-from repro.cesc.validate import validate_chart, validate_scesc
-from repro.logic.codec import AlphabetCodec
-from repro.logic.expr import And, EventRef, Expr, Not, Or, PropRef, ScoreboardCheck
-from repro.logic.parser import parse_expr
-from repro.logic.valuation import Valuation
-from repro.monitor.automaton import AddEvt, DelEvt, Monitor, Transition
-from repro.monitor.checker import AssertionChecker, Verdict
-from repro.monitor.engine import MonitorEngine, MonitorResult, run_monitor
-from repro.monitor.network import MonitorNetwork
-from repro.monitor.scoreboard import Scoreboard
-from repro.runtime.compiled import (
-    CompiledEngine,
-    CompiledMonitor,
-    compile_monitor,
-    run_compiled,
-    run_many,
-)
-from repro.optimize import (
-    OptimizationResult,
-    optimize_compiled,
-    optimize_monitor,
-)
-from repro.semantics.generator import TraceGenerator
-from repro.semantics.run import GlobalRun, Trace
-from repro.synthesis.compose import MonitorBank, synthesize_chart
-from repro.synthesis.multiclock import synthesize_network
-from repro.synthesis.subset import SubsetMonitor
-from repro.synthesis.symbolic import symbolic_monitor
-from repro.synthesis.tr import (
-    synthesize_compiled,
-    synthesize_monitor,
-    tr,
-    tr_compiled,
-)
-from repro.trace import (
-    SignalBinding,
-    StreamReport,
-    StreamingChecker,
-    VcdReader,
-    run_bank_sharded,
-    run_sharded,
-    trace_to_vcd,
-)
-
-#: Vector-kernel names resolved lazily (PEP 562) so that plain
-#: ``import repro`` never imports NumPy — the kernel's optional
-#: dependency — on behalf of scalar-only users.
-_VECTOR_EXPORTS = ("VectorEngine", "run_many_vector")
+import importlib
+import sys
 
 
-def __getattr__(name):
-    if name in _VECTOR_EXPORTS:
-        from repro.runtime import vector
+def _lazy_exports(package: str, modules: dict) -> None:
+    """Make ``package`` re-export names on first access (PEP 562).
 
-        return getattr(vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    ``modules`` maps each defining module to the names the package
+    re-exports from it.  The package gains ``_EXPORTS``, the flat
+    ``name -> (module, attr)`` table, plus a module ``__getattr__``
+    that imports the defining module when one of its names is first
+    read (and caches the value in the package namespace) and a
+    ``__dir__`` that lists the table.  A process therefore loads only
+    the modules whose names it uses: ``import repro`` loads no
+    submodule at all.
+    """
+    namespace = sys.modules[package].__dict__
+    table = {name: (module, name)
+             for module, names in modules.items() for name in names}
 
+    def __getattr__(name):
+        try:
+            module, attr = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), attr)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(table))
+
+    namespace.update(_EXPORTS=table, __getattr__=__getattr__,
+                     __dir__=__dir__)
+
+
+_lazy_exports(__name__, {
+    "repro.campaign.closure": ("CoverageCampaign",),
+    "repro.campaign.directed": ("DirectedTrace", "StimulusSynthesizer"),
+    "repro.campaign.faults": ("FaultMutationCampaign",),
+    "repro.cesc.ast": (
+        "SCESC", "CausalityArrow", "Clock", "EventOccurrence", "Tick",
+    ),
+    "repro.cesc.builder": ("ev", "scesc"),
+    "repro.cesc.charts": (
+        "Alt", "AsyncPar", "Chart", "CrossArrow", "Implication", "Loop",
+        "Par", "ScescChart", "Seq",
+    ),
+    "repro.cesc.parser": ("parse_cesc",),
+    "repro.cesc.validate": ("validate_chart", "validate_scesc"),
+    "repro.logic.codec": ("AlphabetCodec",),
+    "repro.logic.expr": (
+        "And", "EventRef", "Expr", "Not", "Or", "PropRef", "ScoreboardCheck",
+    ),
+    "repro.logic.parser": ("parse_expr",),
+    "repro.logic.valuation": ("Valuation",),
+    "repro.monitor.automaton": ("AddEvt", "DelEvt", "Monitor", "Transition"),
+    "repro.monitor.checker": ("AssertionChecker", "Verdict"),
+    "repro.monitor.engine": ("MonitorEngine", "MonitorResult", "run_monitor"),
+    "repro.monitor.network": ("MonitorNetwork",),
+    "repro.monitor.scoreboard": ("Scoreboard",),
+    "repro.optimize.pipeline": (
+        "OptimizationResult", "optimize_compiled", "optimize_monitor",
+    ),
+    "repro.runtime.compiled": (
+        "CompiledEngine", "CompiledMonitor", "compile_monitor",
+        "run_compiled", "run_many",
+    ),
+    "repro.runtime.vector": ("VectorEngine", "run_many_vector"),
+    "repro.semantics.generator": ("TraceGenerator",),
+    "repro.semantics.run": ("GlobalRun", "Trace"),
+    "repro.synthesis.compose": ("MonitorBank", "synthesize_chart"),
+    "repro.synthesis.multiclock": ("synthesize_network",),
+    "repro.synthesis.subset": ("SubsetMonitor",),
+    "repro.synthesis.symbolic": ("symbolic_monitor",),
+    "repro.synthesis.tr": (
+        "synthesize_compiled", "synthesize_monitor", "tr", "tr_compiled",
+    ),
+    "repro.trace.bridge": ("trace_to_vcd",),
+    "repro.trace.shard": ("run_bank_sharded", "run_sharded"),
+    "repro.trace.streaming": ("StreamReport", "StreamingChecker"),
+    "repro.trace.vcd_reader": ("SignalBinding", "VcdReader"),
+})
 
 __version__ = "1.0.0"
 

@@ -11,13 +11,16 @@
   accumulated from simulation runs.
 """
 
-from repro.analysis.consistency import Finding, check_consistency
-from repro.analysis.coverage import CoverageCollector
-from repro.analysis.equivalence import (
-    detectors_equivalent,
-    exhaustive_theorem_check,
-    sampled_theorem_check,
-)
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.analysis.consistency": ("Finding", "check_consistency"),
+    "repro.analysis.coverage": ("CoverageCollector",),
+    "repro.analysis.equivalence": (
+        "detectors_equivalent", "exhaustive_theorem_check",
+        "sampled_theorem_check",
+    ),
+})
 
 __all__ = [
     "CoverageCollector",

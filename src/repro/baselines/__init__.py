@@ -16,21 +16,17 @@ The paper positions CESC synthesis against two alternatives:
 without the KMP-style transition function.
 """
 
-from repro.baselines.cesc_to_ltl import scesc_to_ltl
-from repro.baselines.ltl import (
-    Always,
-    Atom,
-    Eventually,
-    LtlAnd,
-    LtlFormula,
-    LtlNot,
-    LtlOr,
-    Next,
-    Until,
-    parse_ltl,
-)
-from repro.baselines.ltl_monitor import LtlProgressionMonitor
-from repro.baselines.naive import NaiveWindowMonitor
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.baselines.cesc_to_ltl": ("scesc_to_ltl",),
+    "repro.baselines.ltl": (
+        "Always", "Atom", "Eventually", "LtlAnd", "LtlFormula", "LtlNot",
+        "LtlOr", "Next", "Until", "parse_ltl",
+    ),
+    "repro.baselines.ltl_monitor": ("LtlProgressionMonitor",),
+    "repro.baselines.naive": ("NaiveWindowMonitor",),
+})
 
 __all__ = [
     "Always",

@@ -9,15 +9,17 @@ state variables, if/else ladders — and come in a *correct* and a
 exposes by differencing against the synthesized monitor.
 """
 
-from repro.baselines.manual.amba_manual import (
-    ManualAhbMonitor,
-    ManualAhbMonitorBuggy,
-)
-from repro.baselines.manual.ocp_manual import (
-    ManualOcpBurstMonitor,
-    ManualOcpReadMonitor,
-    ManualOcpReadMonitorBuggy,
-)
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.baselines.manual.amba_manual": (
+        "ManualAhbMonitor", "ManualAhbMonitorBuggy",
+    ),
+    "repro.baselines.manual.ocp_manual": (
+        "ManualOcpBurstMonitor", "ManualOcpReadMonitor",
+        "ManualOcpReadMonitorBuggy",
+    ),
+})
 
 __all__ = [
     "ManualAhbMonitor",

@@ -17,9 +17,17 @@ test *oracle that writes its own tests*:
 Exposed on the CLI as ``repro campaign``.
 """
 
-from repro.campaign.closure import CampaignReport, CorpusEntry, CoverageCampaign
-from repro.campaign.directed import DirectedTrace, StimulusSynthesizer
-from repro.campaign.faults import FaultMutationCampaign, FaultReport, FaultTrial
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.campaign.closure": (
+        "CampaignReport", "CorpusEntry", "CoverageCampaign",
+    ),
+    "repro.campaign.directed": ("DirectedTrace", "StimulusSynthesizer"),
+    "repro.campaign.faults": (
+        "FaultMutationCampaign", "FaultReport", "FaultTrial",
+    ),
+})
 
 __all__ = [
     "CampaignReport",

@@ -16,29 +16,21 @@ Charts can be built three ways:
 :mod:`repro.cesc.validate` checks well-formedness before synthesis.
 """
 
-from repro.cesc.ast import (
-    ENV,
-    CausalityArrow,
-    Clock,
-    EventOccurrence,
-    Instance,
-    SCESC,
-    Tick,
-)
-from repro.cesc.builder import ev, scesc
-from repro.cesc.charts import (
-    Alt,
-    AsyncPar,
-    Chart,
-    CrossArrow,
-    Implication,
-    Loop,
-    Par,
-    ScescChart,
-    Seq,
-)
-from repro.cesc.parser import parse_cesc
-from repro.cesc.validate import validate_chart, validate_scesc
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.cesc.ast": (
+        "ENV", "CausalityArrow", "Clock", "EventOccurrence", "Instance",
+        "SCESC", "Tick",
+    ),
+    "repro.cesc.builder": ("ev", "scesc"),
+    "repro.cesc.charts": (
+        "Alt", "AsyncPar", "Chart", "CrossArrow", "Implication", "Loop", "Par",
+        "ScescChart", "Seq",
+    ),
+    "repro.cesc.parser": ("parse_cesc",),
+    "repro.cesc.validate": ("validate_chart", "validate_scesc"),
+})
 
 __all__ = [
     "Alt",

@@ -24,36 +24,18 @@ every fault prediction held), 3 when it did not.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from repro.analysis.consistency import check_consistency
-from repro.cesc.charts import ScescChart
-from repro.cesc.parser import parse_cesc
-from repro.cesc.validate import validate_scesc
-from repro.codegen.psl import chart_to_psl
-from repro.codegen.python_gen import monitor_to_python
-from repro.codegen.sva import chart_to_sva
-from repro.codegen.verilog import monitor_to_verilog
+# Only what every invocation needs loads here: each ``_cmd_*`` imports
+# the layers its own path runs, so a process pays for no others.
 from repro.errors import ReproError
-from repro.monitor.dot import monitor_to_dot
-from repro.monitor.engine import run_monitor
-from repro.monitor.stats import monitor_stats
 from repro.runtime.engines import (
     AUTO,
-    Workload,
     backend as engine_backend,
     backend_names,
     engine_choices,
-    plan_execution,
-    require_backend,
-    resolve_step_backend,
 )
-from repro.synthesis.symbolic import symbolic_monitor
-from repro.synthesis.tr import tr, tr_compiled
-from repro.visual.ascii_chart import render_scesc
-from repro.visual.wavedrom import wavedrom_to_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -269,6 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scesc(spec_path: str, chart_name: str):
+    from repro.cesc.parser import parse_cesc
+
     with open(spec_path) as stream:
         spec = parse_cesc(stream.read())
     if chart_name not in spec.charts:
@@ -281,6 +265,11 @@ def _load_scesc(spec_path: str, chart_name: str):
 
 
 def _cmd_validate(args, out) -> int:
+    from repro.analysis.consistency import check_consistency
+    from repro.cesc.charts import ScescChart
+    from repro.cesc.parser import parse_cesc
+    from repro.cesc.validate import validate_scesc
+
     with open(args.spec) as stream:
         spec = parse_cesc(stream.read())
     status = 0
@@ -308,17 +297,25 @@ def _cmd_validate(args, out) -> int:
 
 
 def _cmd_render(args, out) -> int:
+    from repro.visual.ascii_chart import render_scesc
+
     chart = _load_scesc(args.spec, args.chart)
     out.write(render_scesc(chart))
     return 0
 
 
 def _cmd_synthesize(args, out) -> int:
+    from repro.synthesis.tr import tr
+
     chart = _load_scesc(args.spec, args.chart)
     monitor = tr(chart)
     if not args.dense:
+        from repro.synthesis.symbolic import symbolic_monitor
+
         monitor = symbolic_monitor(monitor, name=monitor.name)
     if args.format == "table":
+        from repro.monitor.stats import monitor_stats
+
         stats = monitor_stats(monitor)
         out.write(f"monitor {monitor.name}: "
                   f"{stats['states']} states, "
@@ -331,15 +328,27 @@ def _cmd_synthesize(args, out) -> int:
             out.write(f"  {transition.source} -> {transition.target}: "
                       f"{transition.label()}\n")
     elif args.format == "dot":
+        from repro.monitor.dot import monitor_to_dot
+
         out.write(monitor_to_dot(monitor))
         out.write("\n")
     elif args.format == "verilog":
+        from repro.codegen.verilog import monitor_to_verilog
+
         out.write(monitor_to_verilog(monitor).source)
     elif args.format == "sva":
+        from repro.cesc.charts import ScescChart
+        from repro.codegen.sva import chart_to_sva
+
         out.write(chart_to_sva(ScescChart(chart)))
     elif args.format == "psl":
+        from repro.cesc.charts import ScescChart
+        from repro.codegen.psl import chart_to_psl
+
         out.write(chart_to_psl(ScescChart(chart)))
     elif args.format == "python":
+        from repro.codegen.python_gen import monitor_to_python
+
         out.write(monitor_to_python(monitor))
     return 0
 
@@ -350,6 +359,10 @@ def _load_wavedrom_trace(args, chart, out):
     VCD sources instead stream through :func:`_check_vcd` without
     ever materialising a trace.
     """
+    import json
+
+    from repro.visual.wavedrom import wavedrom_to_trace
+
     with open(args.trace) as stream:
         trace = wavedrom_to_trace(json.load(stream))
     _note_missing_lanes(chart, trace.alphabet, args.trace, out)
@@ -454,6 +467,8 @@ def _check_vcd(args, chart, out) -> int:
     else:
         # The interpreted reference walks guard trees on the raw
         # synthesis output, in-process.
+        from repro.synthesis.tr import tr
+
         monitor = tr(chart)
         reports = []
         for path in args.vcd:
@@ -473,8 +488,10 @@ def _check_vcd(args, chart, out) -> int:
 
 def _compiled_for_check(args, chart):
     """The compiled monitor a ``check`` run dispatches on."""
+    from repro.synthesis.tr import tr, tr_compiled
+
     if args.optimize:
-        from repro.optimize import optimize_monitor
+        from repro.optimize.pipeline import optimize_monitor
 
         return optimize_monitor(tr(chart)).compiled
     return tr_compiled(chart)
@@ -488,8 +505,13 @@ def _cmd_check(args, out) -> int:
     trace = _load_wavedrom_trace(args, chart, out)
     backend = engine_backend(args.engine) if args.engine != AUTO else None
     if backend is not None and not backend.batch:
+        from repro.monitor.engine import run_monitor
+        from repro.synthesis.tr import tr
+
         result = run_monitor(tr(chart), trace)
     else:
+        from repro.runtime.engines import Workload, plan_execution
+
         compiled = _compiled_for_check(args, chart)
         plan = plan_execution(compiled, Workload.from_traces([trace]),
                               args.engine, capability="batch",
@@ -503,6 +525,7 @@ def _cmd_check(args, out) -> int:
 def _cmd_ingest(args, out) -> int:
     """Convert dumps to columnar form, cache- or file-addressed."""
     from repro.cache import CorpusCache
+    from repro.runtime.engines import require_backend
     from repro.trace.columnar import codec_fingerprint, ingest_vcd
     from repro.trace.vcd_reader import SignalBinding
 
@@ -549,7 +572,12 @@ def _cmd_ingest(args, out) -> int:
 
 
 def _cmd_campaign(args, out) -> int:
-    from repro.campaign import CoverageCampaign, FaultMutationCampaign
+    import json
+
+    from repro.campaign.closure import CoverageCampaign
+    from repro.campaign.faults import FaultMutationCampaign
+    from repro.runtime.engines import resolve_step_backend
+    from repro.synthesis.tr import tr, tr_compiled
 
     chart = _load_scesc(args.spec, args.chart)
     if not (0.0 <= args.target_coverage <= 1.0):
@@ -561,7 +589,7 @@ def _cmd_campaign(args, out) -> int:
         raise ReproError(f"--budget must be positive (got {args.budget})")
     backend = resolve_step_backend(args.engine, error_cls=ReproError)
     if args.optimize:
-        from repro.optimize import optimize_monitor
+        from repro.optimize.pipeline import optimize_monitor
 
         optimized = optimize_monitor(tr(chart))
         monitor = (optimized.compiled if backend.wants_compiled
@@ -647,7 +675,8 @@ def _cmd_serve(args, out) -> int:
     """Load the bank once, then multiplex streams until interrupted."""
     import asyncio
 
-    from repro.serve import MonitorService, ServeConfig
+    from repro.serve.server import MonitorService, ServeConfig
+    from repro.synthesis.tr import tr, tr_compiled
 
     backend = engine_backend(args.engine) if args.engine != AUTO else None
     if args.optimize and backend is not None and not backend.optimize_ok:
@@ -657,7 +686,7 @@ def _cmd_serve(args, out) -> int:
     for name in args.charts:
         chart = _load_scesc(args.spec, name)
         if args.optimize:
-            from repro.optimize import optimize_monitor
+            from repro.optimize.pipeline import optimize_monitor
 
             monitors[name] = optimize_monitor(tr(chart)).compiled
         elif wants_compiled:

@@ -11,10 +11,14 @@
   Python checker module.
 """
 
-from repro.codegen.psl import chart_to_psl
-from repro.codegen.python_gen import monitor_to_python
-from repro.codegen.sva import chart_to_sva
-from repro.codegen.verilog import VerilogMonitor, monitor_to_verilog
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.codegen.psl": ("chart_to_psl",),
+    "repro.codegen.python_gen": ("monitor_to_python",),
+    "repro.codegen.sva": ("chart_to_sva",),
+    "repro.codegen.verilog": ("VerilogMonitor", "monitor_to_verilog"),
+})
 
 __all__ = [
     "VerilogMonitor",

@@ -8,25 +8,17 @@ cycle, so generated RTL monitors can be checked for bit-exact
 equivalence against the Python engine without an external simulator.
 """
 
-from repro.hdl.ast import (
-    AlwaysBlock,
-    Assign,
-    BinaryOp,
-    CaseItem,
-    CaseStmt,
-    Concat,
-    Conditional,
-    Identifier,
-    IfStmt,
-    Module,
-    NetDecl,
-    NonBlockingAssign,
-    Number,
-    Port,
-    UnaryOp,
-)
-from repro.hdl.parser import parse_verilog
-from repro.hdl.sim import VerilogSim
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.hdl.ast": (
+        "AlwaysBlock", "Assign", "BinaryOp", "CaseItem", "CaseStmt", "Concat",
+        "Conditional", "Identifier", "IfStmt", "Module", "NetDecl",
+        "NonBlockingAssign", "Number", "Port", "UnaryOp",
+    ),
+    "repro.hdl.parser": ("parse_verilog",),
+    "repro.hdl.sim": ("VerilogSim",),
+})
 
 __all__ = [
     "AlwaysBlock",

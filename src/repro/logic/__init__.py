@@ -20,31 +20,21 @@ monitor synthesis pipeline:
   runtime's dense dispatch tables.
 """
 
-from repro.logic.codec import AlphabetCodec
-from repro.logic.expr import (
-    FALSE,
-    TRUE,
-    And,
-    Const,
-    EventRef,
-    Expr,
-    Not,
-    Or,
-    PropRef,
-    ScoreboardCheck,
-    all_of,
-    any_of,
-    symbols_of,
-)
-from repro.logic.parser import parse_expr
-from repro.logic.sat import (
-    are_equivalent,
-    entails,
-    is_satisfiable,
-    is_tautology,
-    jointly_satisfiable,
-)
-from repro.logic.valuation import Valuation, enumerate_valuations
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.logic.codec": ("AlphabetCodec",),
+    "repro.logic.expr": (
+        "FALSE", "TRUE", "And", "Const", "EventRef", "Expr", "Not", "Or",
+        "PropRef", "ScoreboardCheck", "all_of", "any_of", "symbols_of",
+    ),
+    "repro.logic.parser": ("parse_expr",),
+    "repro.logic.sat": (
+        "are_equivalent", "entails", "is_satisfiable", "is_tautology",
+        "jointly_satisfiable",
+    ),
+    "repro.logic.valuation": ("Valuation", "enumerate_valuations"),
+})
 
 __all__ = [
     "AlphabetCodec",

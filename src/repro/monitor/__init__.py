@@ -20,18 +20,18 @@ which the specified scenario occurs.
   size metrics.
 """
 
-from repro.monitor.automaton import (
-    AddEvt,
-    DelEvt,
-    Monitor,
-    NULL_ACTION,
-    NullAction,
-    Transition,
-)
-from repro.monitor.checker import AssertionChecker, Obligation, Verdict
-from repro.monitor.engine import MonitorEngine, MonitorResult, run_monitor
-from repro.monitor.network import MonitorNetwork, NetworkResult
-from repro.monitor.scoreboard import Scoreboard
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.monitor.automaton": (
+        "AddEvt", "DelEvt", "Monitor", "NULL_ACTION", "NullAction",
+        "Transition",
+    ),
+    "repro.monitor.checker": ("AssertionChecker", "Obligation", "Verdict"),
+    "repro.monitor.engine": ("MonitorEngine", "MonitorResult", "run_monitor"),
+    "repro.monitor.network": ("MonitorNetwork", "NetworkResult"),
+    "repro.monitor.scoreboard": ("Scoreboard",),
+})
 
 __all__ = [
     "AddEvt",

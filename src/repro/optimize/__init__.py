@@ -18,20 +18,22 @@ composes three behaviour-preserving passes attacking the paper's
 pipeline via their ``optimize=`` knob, the CLI via ``--optimize``.
 """
 
-from repro.optimize.compact import compact_monitor, compact_row, compaction_stats
-from repro.optimize.ladders import harden_ladders, prove_first_match
-from repro.optimize.pipeline import (
-    OptimizationResult,
-    as_optimized,
-    optimize_compiled,
-    optimize_monitor,
-)
-from repro.optimize.prune import (
-    prune_compiled,
-    prune_monitor,
-    used_symbols,
-    used_symbols_compiled,
-)
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.optimize.compact": (
+        "compact_monitor", "compact_row", "compaction_stats",
+    ),
+    "repro.optimize.ladders": ("harden_ladders", "prove_first_match"),
+    "repro.optimize.pipeline": (
+        "OptimizationResult", "as_optimized", "optimize_compiled",
+        "optimize_monitor",
+    ),
+    "repro.optimize.prune": (
+        "prune_compiled", "prune_monitor", "used_symbols",
+        "used_symbols_compiled",
+    ),
+})
 
 __all__ = [
     "OptimizationResult",

@@ -6,8 +6,12 @@ lines with causality arrows on the transaction-start and data-phase
 events.
 """
 
-from repro.protocols.amba.charts import AHB_EVENTS, ahb_transaction_chart
-from repro.protocols.amba.models import AhbBus, AhbMaster, AhbSignals
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.protocols.amba.charts": ("AHB_EVENTS", "ahb_transaction_chart"),
+    "repro.protocols.amba.models": ("AhbBus", "AhbMaster", "AhbSignals"),
+})
 
 __all__ = [
     "AHB_EVENTS",

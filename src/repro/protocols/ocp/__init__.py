@@ -10,14 +10,16 @@ Covers the two OCP scenarios the paper synthesizes monitors for:
   while later commands issue, tracked on the scoreboard as a multiset.
 """
 
-from repro.protocols.ocp.charts import (
-    OCP_EVENTS,
-    ocp_burst_read_chart,
-    ocp_simple_read_chart,
-)
-from repro.protocols.ocp.master import OcpMaster
-from repro.protocols.ocp.signals import OcpSignals
-from repro.protocols.ocp.slave import OcpSlave
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.protocols.ocp.charts": (
+        "OCP_EVENTS", "ocp_burst_read_chart", "ocp_simple_read_chart",
+    ),
+    "repro.protocols.ocp.master": ("OcpMaster",),
+    "repro.protocols.ocp.signals": ("OcpSignals",),
+    "repro.protocols.ocp.slave": ("OcpSlave",),
+})
 
 __all__ = [
     "OCP_EVENTS",

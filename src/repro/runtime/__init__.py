@@ -23,7 +23,8 @@ performs, made persistent — so the hot loop is a list lookup:
 * :mod:`repro.runtime.vector` — the trace-parallel batch kernel:
   check-free cells lowered to one flat integer array stepped with
   NumPy fancy indexing (pure-Python fallback when NumPy is absent),
-  escape lanes resolved through the scalar dispatch above;
+  escape lanes resolved through the scalar dispatch above.  NumPy
+  loads on the kernel's first batch, not on import;
 * :mod:`repro.runtime.engines` — the backend registry and the
   ``engine="auto"`` execution planner: every entry point resolves
   backend names and capability checks through it, and a new backend
@@ -32,46 +33,28 @@ performs, made persistent — so the hot loop is a list lookup:
 The interpreted engine remains the reference semantics; equivalence is
 enforced by property tests (``tests/test_properties.py``) and the
 vector differential suite.
+
+Like every package here, this one re-exports lazily: a name's module
+loads when the name is first read, so importing the package loads
+none of them.
 """
 
-from repro.runtime.compiled import (
-    CompiledEngine,
-    CompiledMonitor,
-    as_compiled,
-    compile_monitor,
-    run_compiled,
-    run_many,
-    run_many_encoded,
-)
-from repro.runtime.engines import (
-    AUTO,
-    EngineBackend,
-    ExecutionPlan,
-    Workload,
-    engine_choices,
-    plan_execution,
-    register_backend,
-)
+from repro import _lazy_exports
 
-#: Vector-kernel names resolved lazily (PEP 562): importing the vector
-#: module pulls in NumPy when present, and scalar-only users — the CLI
-#: with --engine compiled, sharded worker spawns — should not pay that
-#: import for a kernel they never touch.
-_VECTOR_EXPORTS = (
-    "VectorEngine",
-    "run_many_vector",
-    "run_many_vector_encoded",
-    "vector_table",
-)
-
-
-def __getattr__(name):
-    if name in _VECTOR_EXPORTS:
-        from repro.runtime import vector
-
-        return getattr(vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+_lazy_exports(__name__, {
+    "repro.runtime.compiled": (
+        "CompiledEngine", "CompiledMonitor", "as_compiled", "compile_monitor",
+        "run_compiled", "run_many", "run_many_encoded",
+    ),
+    "repro.runtime.engines": (
+        "AUTO", "EngineBackend", "ExecutionPlan", "Workload", "engine_choices",
+        "plan_execution", "register_backend",
+    ),
+    "repro.runtime.vector": (
+        "VectorEngine", "run_many_vector", "run_many_vector_encoded",
+        "vector_table",
+    ),
+})
 
 __all__ = [
     "AUTO",

@@ -313,12 +313,13 @@ def require_backend(name: str, capability: Optional[str] = None,
 def numpy_ready() -> bool:
     """Is the NumPy vector kernel live in this process?
 
-    Follows the vector module's own switch when it is already loaded
-    (tests monkeypatch it to force fallback mode); otherwise answers
-    from the environment without importing NumPy.
+    Follows the vector module's own switch once it is set (the first
+    NumPy batch sets it; tests set it to ``None`` to force fallback
+    mode); otherwise answers from the environment without importing
+    NumPy.
     """
     vector = sys.modules.get("repro.runtime.vector")
-    if vector is not None:
+    if vector is not None and vector._np is not vector._UNLOADED:
         return vector._np is not None
     if os.environ.get("REPRO_NO_NUMPY"):
         return False

@@ -283,6 +283,9 @@ def _flatten_masks(mask_arrays) -> array:
             flat.extend(stream)
         elif type(stream) is list:
             flat.extend(stream)
+        elif type(stream) is memoryview and stream.format == "i":
+            # Columnar lanes: one raw copy of the native int32 bytes.
+            flat.frombytes(stream.cast("B"))
         else:
             # NumPy arrays (and any other integer sequence) go through
             # a raw-bytes copy: element iteration over ndarrays is slow.

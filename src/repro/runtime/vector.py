@@ -56,12 +56,14 @@ to per-lane scalar resolution (missing cells, or everything when some
 cell resists predication).  The batch planner and the vector bench
 read the residual, not the raw density.
 
-NumPy is an **optional** dependency: when it is absent (or the
-``REPRO_NO_NUMPY`` environment variable is set) the identical API runs
-on a pure-Python flat ``array('i')`` fallback — loop-predicated: the
-same literal-term plans are tested per lane with integer ops against a
-per-lane counts list and presence word, no ``Scoreboard`` objects or
-check-closure calls on the hot path.
+NumPy is an **optional** dependency, imported by the first batch
+that runs (:func:`_numpy`); lowering a :class:`VectorTable` and
+streaming through :meth:`VectorEngine.feed_masks` never import it.
+When it is absent (or the ``REPRO_NO_NUMPY`` environment variable is
+set) the identical API runs on a pure-Python flat ``array('i')``
+fallback — loop-predicated: the same literal-term plans are tested per
+lane with integer ops against a per-lane counts list and presence
+word, no ``Scoreboard`` objects or check-closure calls on the hot path.
 """
 
 from __future__ import annotations
@@ -97,12 +99,29 @@ __all__ = [
     "vector_table",
 ]
 
-try:  # pragma: no cover - exercised via the fallback differential run
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-if os.environ.get("REPRO_NO_NUMPY"):  # test hook: force the fallback
-    _np = None
+#: ``_np`` until :func:`_numpy` first runs; then the NumPy module, or
+#: ``None`` when it is missing or ``REPRO_NO_NUMPY`` forces the
+#: fallback (tests set ``_np = None`` for the same effect).
+_UNLOADED = object()
+_np = _UNLOADED
+
+
+def _numpy():
+    """NumPy, imported by the first batch that can use it.
+
+    Lowering, streaming (:meth:`VectorEngine.feed_masks`), native
+    codegen and the planner never call this, so no ``repro check``
+    path loads NumPy.
+    """
+    global _np
+    if _np is _UNLOADED:
+        _np = None
+        if not os.environ.get("REPRO_NO_NUMPY"):
+            try:
+                import numpy as _np
+            except ImportError:  # pragma: no cover - NumPy not installed
+                pass
+    return _np
 
 #: Flat-table marker for a cell with no enabled transition.  Escape
 #: cells with scalar payloads are encoded ``-2 - spec_index``.
@@ -527,7 +546,7 @@ def run_many_vector(
     # memoized list form directly so warm batches pay no conversion.
     return run_many_vector_encoded(
         compiled,
-        compiled.codec.encode_many(traces, as_list=_np is None),
+        compiled.codec.encode_many(traces, as_list=_numpy() is None),
         scoreboards=scoreboards,
         record_transitions=record_transitions,
     )
@@ -552,7 +571,7 @@ def run_many_vector_encoded(
         raise MonitorError(
             "run_many needs exactly one scoreboard per trace when provided"
         )
-    if _np is not None:
+    if _numpy() is not None:
         return _run_numpy(compiled, mask_arrays, scoreboards)
     return _run_fallback(compiled, mask_arrays, scoreboards)
 

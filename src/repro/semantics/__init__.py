@@ -14,15 +14,17 @@ occur as the chart specifies — see Figure 3's semantic mapping.
   generation for tests and benchmarks.
 """
 
-from repro.semantics.denotation import (
-    chart_window_lengths,
-    matches_window,
-    run_satisfies,
-    satisfying_windows,
-)
-from repro.semantics.generator import TraceGenerator
-from repro.semantics.run import GlobalRun, GlobalTick, Trace
-from repro.semantics.state import State
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.semantics.denotation": (
+        "chart_window_lengths", "matches_window", "run_satisfies",
+        "satisfying_windows",
+    ),
+    "repro.semantics.generator": ("TraceGenerator",),
+    "repro.semantics.run": ("GlobalRun", "GlobalTick", "Trace"),
+    "repro.semantics.state": ("State",),
+})
 
 __all__ = [
     "GlobalRun",

@@ -20,14 +20,16 @@ Layering (one module per concern):
   handling, op dispatch, HTTP health endpoints, lifecycle.
 """
 
-from repro.serve.metrics import ServeMetrics
-from repro.serve.protocol import (
-    MAX_LINE_BYTES,
-    decode_request,
-    encode_message,
-)
-from repro.serve.server import MonitorService, ServeConfig
-from repro.serve.session import StreamSession
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.serve.metrics": ("ServeMetrics",),
+    "repro.serve.protocol": (
+        "MAX_LINE_BYTES", "decode_request", "encode_message",
+    ),
+    "repro.serve.server": ("MonitorService", "ServeConfig"),
+    "repro.serve.session": ("StreamSession",),
+})
 
 __all__ = [
     "MAX_LINE_BYTES",

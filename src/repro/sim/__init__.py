@@ -15,9 +15,13 @@ monitors consume.
   attachment, network hookup for multi-clock designs.
 """
 
-from repro.sim.kernel import Simulator
-from repro.sim.signal import Signal
-from repro.sim.testbench import Testbench, TraceRecorder
-from repro.sim.vcd import VcdWriter
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.sim.kernel": ("Simulator",),
+    "repro.sim.signal": ("Signal",),
+    "repro.sim.testbench": ("Testbench", "TraceRecorder"),
+    "repro.sim.vcd": ("VcdWriter",),
+})
 
 __all__ = ["Signal", "Simulator", "Testbench", "TraceRecorder", "VcdWriter"]

@@ -18,12 +18,23 @@
   asynchronous (multi-clock) compositions.
 """
 
-from repro.synthesis.compose import MonitorBank, synthesize_chart
-from repro.synthesis.multiclock import synthesize_network
-from repro.synthesis.pattern import FlatArrow, FlatPattern, extract_pattern, flatten_chart
-from repro.synthesis.subset import SubsetMonitor
-from repro.synthesis.symbolic import symbolic_monitor
-from repro.synthesis.tr import synthesize_monitor, tr
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.synthesis.compose": ("MonitorBank", "synthesize_chart"),
+    "repro.synthesis.multiclock": ("synthesize_network",),
+    "repro.synthesis.pattern": (
+        "FlatArrow", "FlatPattern", "extract_pattern", "flatten_chart",
+    ),
+    "repro.synthesis.subset": ("SubsetMonitor",),
+    "repro.synthesis.symbolic": ("symbolic_monitor",),
+    "repro.synthesis.tr": ("synthesize_monitor",),
+})
+
+# ``tr`` names both a submodule and the function it exports.  The first
+# import of the submodule binds the package attribute to the module,
+# which would hide a lazy export, so the function is bound eagerly.
+from repro.synthesis.tr import tr  # noqa: E402
 
 __all__ = [
     "FlatArrow",

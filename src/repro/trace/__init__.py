@@ -22,23 +22,21 @@ monitors consume, and scales checking beyond a single process:
   checking across worker processes.
 """
 
-from repro.trace.bridge import trace_to_vcd
-from repro.trace.columnar import (
-    ColumnarTraceSet,
-    codec_fingerprint,
-    ingest_vcd,
-    masks_from_vcd,
-    masks_from_vcd_text,
-)
-from repro.trace.shard import (
-    available_cores,
-    run_bank_sharded,
-    run_sharded,
-    run_sharded_vcd,
-    shutdown_worker_pools,
-)
-from repro.trace.streaming import StreamingChecker, StreamReport
-from repro.trace.vcd_reader import SignalBinding, VcdReader, VcdSignal
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.trace.bridge": ("trace_to_vcd",),
+    "repro.trace.columnar": (
+        "ColumnarTraceSet", "codec_fingerprint", "ingest_vcd",
+        "masks_from_vcd", "masks_from_vcd_text",
+    ),
+    "repro.trace.shard": (
+        "available_cores", "run_bank_sharded", "run_sharded",
+        "run_sharded_vcd", "shutdown_worker_pools",
+    ),
+    "repro.trace.streaming": ("StreamingChecker", "StreamReport"),
+    "repro.trace.vcd_reader": ("SignalBinding", "VcdReader", "VcdSignal"),
+})
 
 __all__ = [
     "ColumnarTraceSet",

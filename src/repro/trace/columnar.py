@@ -9,10 +9,10 @@ twice over:
   per-trace symbol-mask arrays pre-encoded against an
   :class:`~repro.logic.codec.AlphabetCodec` (the exact int layout the
   vector kernel gathers over), plus trace lengths, the codec
-  fingerprint, and sampling metadata.  Loading is NumPy-optional:
-  ``numpy.frombuffer`` over an ``mmap`` when NumPy is present (zero
-  copies into :func:`~repro.runtime.vector.run_many_vector_encoded`),
-  an ``array('i')`` otherwise.
+  fingerprint, and sampling metadata.  A loaded set's lanes are
+  zero-copy int32 ``memoryview`` slices over the ``mmap``'d (or read)
+  payload; every batch kernel takes them as they are, and NumPy is
+  never needed to load one.
 
 * **chunk-parallel VCD conversion** — the change stream is split at
   timestamp lines (``\\n#``); workers of the persistent
@@ -73,32 +73,6 @@ __all__ = [
     "masks_from_vcd_text",
 ]
 
-_UNLOADED = object()
-
-
-def _numpy():
-    """NumPy, imported on first use: ``None`` when it is missing or the
-    ``REPRO_NO_NUMPY`` test hook forces the fallback.  Loading it lazily
-    keeps ``import repro`` free of NumPy."""
-    module = globals().get("_np", _UNLOADED)
-    if module is _UNLOADED:
-        module = None
-        if not os.environ.get("REPRO_NO_NUMPY"):
-            try:
-                import numpy as module
-            except ImportError:  # pragma: no cover
-                pass
-        globals()["_np"] = module
-    return module
-
-
-def __getattr__(name: str):
-    # ``columnar._np`` reads (and tests patch) the lazily loaded module.
-    if name == "_np":
-        return _numpy()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 RTRC_MAGIC = b"RTRC"
 RTRC_VERSION = 1
 
@@ -123,36 +97,41 @@ def codec_fingerprint(codec: Union[AlphabetCodec, Iterable[str]]) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _masks_to_le_bytes(masks) -> bytes:
-    """Little-endian int32 bytes of one mask sequence."""
-    np = _numpy()
-    if np is not None and isinstance(masks, np.ndarray):
-        return masks.astype("<i4", copy=False).tobytes()
-    if isinstance(masks, array) and masks.typecode == "i" and \
-            masks.itemsize == 4:
-        if sys.byteorder == "little":
-            return masks.tobytes()
-        swapped = array("i", masks)
+def _lanes(payload) -> memoryview:
+    """Native int32 lanes over a little-endian payload (zero-copy)."""
+    if sys.byteorder != "little":  # pragma: no cover - big-endian copy
+        flat = array("i")
+        flat.frombytes(payload)
+        flat.byteswap()
+        return memoryview(flat)
+    return memoryview(payload).cast("i")
+
+
+def _le_bytes(flat: memoryview):
+    """The little-endian payload under native int32 lanes."""
+    if sys.byteorder != "little":  # pragma: no cover - big-endian copy
+        swapped = array("i", flat)
         swapped.byteswap()
         return swapped.tobytes()
-    return struct.pack(f"<{len(masks)}i", *masks)
+    return flat.cast("B")
 
 
 class ColumnarTraceSet:
     """An ordered set of pre-encoded mask streams over one codec.
 
-    ``masks(i)`` / ``mask_arrays()`` return views into one flat buffer
-    (a NumPy int32 array when NumPy is present, ``array('i')``
-    otherwise) in exactly the layout
-    :func:`~repro.runtime.vector.run_many_vector_encoded` consumes.
-    Treat them as read-only — loaded sets may be memory-mapped.
+    ``masks(i)`` / ``mask_arrays()`` return zero-copy int32
+    ``memoryview`` slices of one flat buffer — the file payload
+    (``mmap``'d or read) for loaded sets, an ``array('i')`` for built
+    ones — which every batch kernel consumes as it is.  They are
+    read-only for loaded sets, and do not pickle (``tolist()`` copies
+    one out).
     """
 
     __slots__ = ("symbols", "lengths", "meta", "_flat", "_offsets",
-                 "_mmap", "_crc")
+                 "_crc")
 
     def __init__(self, symbols: Sequence[str], lengths: Sequence[int],
-                 flat, meta: Optional[dict] = None, _mmap=None,
+                 flat, meta: Optional[dict] = None,
                  payload_crc: Optional[int] = None):
         self.symbols: Tuple[str, ...] = tuple(symbols)
         self.lengths: Tuple[int, ...] = tuple(int(n) for n in lengths)
@@ -168,8 +147,9 @@ class ColumnarTraceSet:
                 f"columnar payload holds {len(flat)} masks; lengths "
                 f"sum to {offsets[-1]}"
             )
+        if type(flat) is not memoryview:
+            flat = memoryview(array("i", flat))
         self._flat = flat
-        self._mmap = _mmap
         self._crc = payload_crc
 
     # -- construction ----------------------------------------------------
@@ -178,20 +158,10 @@ class ColumnarTraceSet:
                          symbols: Sequence[str],
                          meta: Optional[dict] = None) -> "ColumnarTraceSet":
         lengths = [len(masks) for masks in mask_arrays]
-        np = _numpy()
-        if np is not None:
-            flat = np.empty(sum(lengths), dtype=np.int32)
-            cursor = 0
-            for masks in mask_arrays:
-                flat[cursor:cursor + len(masks)] = np.asarray(
-                    masks, dtype=np.int32
-                )
-                cursor += len(masks)
-        else:
-            flat = array("i")
-            for masks in mask_arrays:
-                flat.extend(masks)
-        return cls(symbols, lengths, flat, meta=meta)
+        flat = array("i")
+        for masks in mask_arrays:
+            flat.extend(masks)
+        return cls(symbols, lengths, memoryview(flat), meta=meta)
 
     @classmethod
     def from_traces(cls, traces: Sequence[Trace],
@@ -250,7 +220,7 @@ class ColumnarTraceSet:
 
     # -- serialisation ---------------------------------------------------
     def to_bytes(self) -> bytes:
-        payload = _masks_to_le_bytes(self._flat)
+        payload = _le_bytes(self._flat)
         header = json.dumps({
             "symbols": list(self.symbols),
             "fingerprint": self.fingerprint,
@@ -260,7 +230,7 @@ class ColumnarTraceSet:
         }, sort_keys=True).encode("utf-8")
         prefix = RTRC_MAGIC + struct.pack("<II", RTRC_VERSION, len(header))
         pad = (-(len(prefix) + len(header))) % _ALIGN
-        return prefix + header + b"\x00" * pad + payload
+        return b"".join((prefix, header, b"\x00" * pad, payload))
 
     def save(self, path: Union[str, "os.PathLike[str]"]) -> str:
         """Write atomically (tmp file + rename); returns the path."""
@@ -273,8 +243,11 @@ class ColumnarTraceSet:
         return path
 
     @classmethod
-    def from_bytes(cls, data, verify: bool = True,
-                   _mmap=None) -> "ColumnarTraceSet":
+    def from_bytes(cls, data, verify: bool = True) -> "ColumnarTraceSet":
+        """Parse a ``.rtrc`` payload (``bytes``, ``mmap``, ...).
+
+        The lanes are views over ``data`` itself, which they keep alive.
+        """
         if len(data) < 12 or bytes(data[:4]) != RTRC_MAGIC:
             raise TraceError("not a columnar trace (.rtrc) payload")
         version, header_len = struct.unpack("<II", data[4:12])
@@ -304,15 +277,7 @@ class ColumnarTraceSet:
         payload = memoryview(data)[offset:]
         if verify and zlib.crc32(payload) != crc:
             raise TraceError("columnar payload failed its crc32 check")
-        np = _numpy()
-        if np is not None:
-            flat = np.frombuffer(payload, dtype="<i4")
-        else:
-            flat = array("i")
-            flat.frombytes(payload)
-            if sys.byteorder == "big":  # pragma: no cover - LE hosts
-                flat.byteswap()
-        return cls(symbols, lengths, flat, meta=meta, _mmap=_mmap,
+        return cls(symbols, lengths, _lanes(payload), meta=meta,
                    payload_crc=crc)
 
     def verify_payload(self) -> "ColumnarTraceSet":
@@ -325,42 +290,31 @@ class ColumnarTraceSet:
         """
         if self._crc is None:
             return self
-        np = _numpy()
-        if np is not None and isinstance(self._flat, np.ndarray):
-            actual = zlib.crc32(self._flat.data)
-        else:
-            actual = zlib.crc32(_masks_to_le_bytes(self._flat))
-        if actual != self._crc:
+        if zlib.crc32(_le_bytes(self._flat)) != self._crc:
             raise TraceError("columnar payload failed its crc32 check")
         return self
 
     @classmethod
     def load(cls, path: Union[str, "os.PathLike[str]"],
              verify: bool = True, lazy: bool = False) -> "ColumnarTraceSet":
-        """Read a ``.rtrc`` file; memory-mapped under NumPy.
+        """Read a ``.rtrc`` file through a read-only memory map.
 
-        ``lazy=True`` keeps mask views as NumPy ``frombuffer`` windows
-        over the mapping and *defers* the whole-payload crc32 — the
-        eager check faults in every page, which defeats the mapping
-        for corpora larger than RAM.  Structural validation (magic,
+        ``lazy=True`` *defers* the whole-payload crc32 — the eager
+        check faults in every page, which defeats the mapping for
+        corpora larger than RAM.  Structural validation (magic,
         version, header shape, payload size) still runs up front, and
         every failure mode stays a :class:`TraceError`;
-        :meth:`verify_payload` runs the deferred check on demand.
-        Without NumPy, or when the file cannot be mapped, the eager
-        read-and-verify path is kept regardless of ``lazy``.
+        :meth:`verify_payload` runs the deferred check on demand.  A
+        file that cannot be mapped (an empty one) is read and verified
+        eagerly regardless of ``lazy``.
         """
         with open(os.fspath(path), "rb") as stream:
-            if _numpy() is not None:
-                try:
-                    mapped = mmap.mmap(stream.fileno(), 0,
-                                       access=mmap.ACCESS_READ)
-                except (ValueError, OSError):
-                    mapped = None  # empty or unmappable file
-                if mapped is not None:
-                    return cls.from_bytes(mapped,
-                                          verify=verify and not lazy,
-                                          _mmap=mapped)
-            return cls.from_bytes(stream.read(), verify=verify)
+            try:
+                mapped = mmap.mmap(stream.fileno(), 0,
+                                   access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                return cls.from_bytes(stream.read(), verify=verify)
+        return cls.from_bytes(mapped, verify=verify and not lazy)
 
 
 # -- chunk-parallel VCD conversion ------------------------------------------

@@ -210,10 +210,11 @@ def _ship(compiled: CompiledMonitor) -> Tuple[bytes, bytes]:
 # ``_MIN_SHM_BYTES`` now land in one ``multiprocessing.shared_memory``
 # segment — int32 payload plus an offsets table, the same layout as a
 # ``.rtrc`` body — and tasks carry only ``(segment name, offsets,
-# start, end)``.  Workers map the segment and slice zero-copy views
-# (NumPy ``frombuffer`` or a cast ``memoryview``).  Anything that keeps
-# shared memory from working — platform without ``/dev/shm``, creation
-# failure, ``REPRO_NO_SHM=1`` — degrades to the original pickled path.
+# start, end)``.  Workers map the segment and slice zero-copy cast
+# ``memoryview`` views, the lane form of a columnar set.  Anything that
+# keeps shared memory from working — platform without ``/dev/shm``,
+# creation failure, ``REPRO_NO_SHM=1`` — degrades to the original
+# pickled path.
 
 try:  # pragma: no cover - absent only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -229,6 +230,9 @@ _MIN_SHM_BYTES = 1 << 15
 
 def _mask_bytes(masks) -> bytes:
     """Little-endian int32 bytes of one mask sequence."""
+    if type(masks) is memoryview and masks.format == "i" \
+            and sys.byteorder == "little":
+        return masks.tobytes()  # columnar lanes
     if isinstance(masks, array) and masks.typecode == "i" \
             and masks.itemsize == 4:
         if sys.byteorder == "little":
@@ -303,6 +307,16 @@ def _share_masks(mask_arrays) -> Optional[_SharedMasks]:
     return _SharedMasks(segment, tuple(offsets))
 
 
+def _inline_spec(mask_arrays, start: int, end: int) -> tuple:
+    """The pickled handoff record for traces ``[start, end)``.
+
+    Memoryview lanes (a columnar set's) do not pickle; they travel as
+    lists.
+    """
+    return ("inline", [masks.tolist() if type(masks) is memoryview
+                       else masks for masks in mask_arrays[start:end]])
+
+
 def _attach_segment(name: str):
     """Map an existing segment without resource-tracker registration.
 
@@ -329,36 +343,25 @@ def _attach_segment(name: str):
 
 
 def _shared_chunk_views(name: str, offsets: Sequence[int],
-                        start: int, end: int, want_numpy: bool = False):
+                        start: int, end: int):
     """``(segment, views)``: zero-copy per-trace mask views of a chunk.
 
-    ``want_numpy`` picks the view flavour for the consuming kernel: the
-    vector engine eats NumPy arrays natively, but the scalar compiled
-    loop materialises ``list(stream)`` — from a NumPy view that is a
-    list of NumPy int32 *scalars*, whose dict/table indexing is slower
-    than the pickle path it replaced.  A cast ``memoryview`` yields
-    plain Python ints, also zero-copy, so that is the default.
+    The views are cast ``memoryview`` slices, the lane form of a
+    loaded :class:`~repro.trace.columnar.ColumnarTraceSet`: they yield
+    plain Python ints to the scalar loops, and the NumPy vector kernel
+    reads them through ``numpy.asarray`` without a copy.
     """
     segment = _attach_segment(name)
     total = offsets[-1]
-    flat = None
-    if want_numpy and not os.environ.get("REPRO_NO_NUMPY"):
-        try:
-            import numpy
-
-            flat = numpy.frombuffer(segment.buf, dtype="<i4", count=total)
-        except ImportError:
-            flat = None
-    if flat is None:
-        # A segment may be page-rounded beyond the payload; slice first
-        # so the cast sees exactly the int32 payload.
-        payload = memoryview(segment.buf)[:4 * total]
-        if sys.byteorder == "little":
-            flat = payload.cast("i")
-        else:  # pragma: no cover - big-endian hosts
-            flat = array("i")
-            flat.frombytes(payload.tobytes())
-            flat.byteswap()
+    # A segment may be page-rounded beyond the payload; slice first so
+    # the cast sees exactly the int32 payload.
+    payload = memoryview(segment.buf)[:4 * total]
+    if sys.byteorder == "little":
+        flat = payload.cast("i")
+    else:  # pragma: no cover - big-endian hosts
+        flat = array("i")
+        flat.frombytes(payload.tobytes())
+        flat.byteswap()
     views = [flat[offsets[index]:offsets[index + 1]]
              for index in range(start, end)]
     return segment, views
@@ -374,9 +377,7 @@ def _run_chunk(task) -> List[MonitorResult]:
     monitor = _cached_monitor(digest, payload)
     if mask_spec[0] == "shm":
         _, name, offsets, start, end = mask_spec
-        segment, views = _shared_chunk_views(
-            name, offsets, start, end, want_numpy=backend.prefers_numpy
-        )
+        segment, views = _shared_chunk_views(name, offsets, start, end)
         try:
             return runner(monitor, views, scoreboards,
                           record_transitions=record_transitions)
@@ -525,7 +526,7 @@ def _fan_out_encoded(compiled, masks, engine_name, jobs, scoreboards,
         tasks = [
             (digest, payload,
              shared.task_spec(start, end) if shared is not None
-             else ("inline", list(masks[start:end])),
+             else _inline_spec(masks, start, end),
              list(scoreboards[start:end]) if scoreboards is not None
              else None,
              record_transitions, engine_name)
@@ -679,7 +680,7 @@ def run_bank_sharded(
                 tasks.append((digest, payload,
                               shared.task_spec(start, end)
                               if shared is not None
-                              else ("inline", list(masks[start:end])),
+                              else _inline_spec(masks, start, end),
                               None, False, plan.engine))
                 member_of_task.append(member_index)
         pool = _get_pool(mp_context, min(jobs, len(tasks)))

@@ -171,9 +171,7 @@ class StreamingChecker:
 
     # -- construction ----------------------------------------------------
     def _resolve_spec(self, spec, loop_limit: int):
-        from repro.cesc.charts import Chart, Implication, as_chart
         from repro.runtime.compiled import CompiledMonitor
-        from repro.synthesis.compose import MonitorBank
 
         explicit = self._backend
         # "auto" never resolves to the interpreted walker, so an
@@ -193,6 +191,11 @@ class StreamingChecker:
             return spec.name, [spec]
         if isinstance(spec, Monitor):
             return spec.name, [spec]
+        # Charts and banks synthesize through the composition layer
+        # (and its optimizer imports); monitors above never load it.
+        from repro.cesc.charts import Chart, Implication, as_chart
+        from repro.synthesis.compose import MonitorBank, synthesize_chart
+
         if isinstance(spec, MonitorBank):
             if wants_compiled:
                 return spec.name, list(spec.compiled_members())
@@ -219,8 +222,6 @@ class StreamingChecker:
             if wants_compiled:
                 return chart.name, list(bank.compiled_members())
             return chart.name, list(bank.monitors)
-        from repro.synthesis.compose import synthesize_chart
-
         bank = synthesize_chart(chart, loop_limit=loop_limit)
         if wants_compiled:
             return bank.name, list(bank.compiled_members())

@@ -10,9 +10,13 @@ CESC is a *visual* language; these modules provide the drawing layer:
   (and the closest modern analogue of the paper's figures).
 """
 
-from repro.visual.ascii_chart import render_scesc
-from repro.visual.timing import render_trace
-from repro.visual.wavedrom import trace_to_wavedrom, wavedrom_to_scesc
+from repro import _lazy_exports
+
+_lazy_exports(__name__, {
+    "repro.visual.ascii_chart": ("render_scesc",),
+    "repro.visual.timing": ("render_trace",),
+    "repro.visual.wavedrom": ("trace_to_wavedrom", "wavedrom_to_scesc"),
+})
 
 __all__ = [
     "render_scesc",

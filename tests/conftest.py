@@ -8,8 +8,14 @@ generator and the identity assertion live here once, exposed through
 the ``diff_harness`` fixture, so the Python-codegen suite
 (``tests/codegen``) and the native-backend suite (``tests/runtime``)
 cannot drift apart in what they prove.
+
+The ``vector_kernel`` fixture is the one switch every dual-mode suite
+(vector, engine matrix, columnar) pins the vector kernel's NumPy or
+pure-Python leg with.
 """
 
+import importlib.util
+import os
 import random
 
 import pytest
@@ -99,3 +105,58 @@ class DiffHarness:
 @pytest.fixture(scope="session")
 def diff_harness():
     return DiffHarness
+
+
+class KernelMode(str):
+    """A vector-kernel leg (``"numpy"``/``"fallback"``) and its spies.
+
+    Compares equal to its name; ``runs`` counts the batches each leg
+    of :func:`repro.runtime.vector.run_many_vector_encoded` ran.
+    """
+
+    def __new__(cls, name):
+        mode = super().__new__(cls, name)
+        mode.runs = {"numpy": 0, "fallback": 0}
+        return mode
+
+
+@pytest.fixture
+def vector_kernel(monkeypatch):
+    """Factory pinning the vector kernel to one leg for a test.
+
+    ``"fallback"`` sets ``vector._np = None``; ``"numpy"`` loads NumPy
+    through the kernel's own loader, and skips only when NumPy is not
+    installed or ``REPRO_NO_NUMPY`` masks it.  Both legs are wrapped in
+    counting spies, and at teardown the other leg must not have run: a
+    loader that routed "NumPy" batches to the pure-Python kernel fails
+    here instead of passing silently.
+    """
+    from repro.runtime import vector
+
+    modes = []
+
+    def pin(name):
+        if name == "fallback":
+            monkeypatch.setattr(vector, "_np", None)
+        elif (os.environ.get("REPRO_NO_NUMPY")
+              or importlib.util.find_spec("numpy") is None):
+            pytest.skip("NumPy not installed; only the fallback mode runs")
+        else:
+            assert vector._numpy() is not None, "NumPy installed but not loaded"
+        mode = KernelMode(name)
+        for leg, attr in (("numpy", "_run_numpy"),
+                          ("fallback", "_run_fallback")):
+            def spy(*args, _leg=leg, _run=getattr(vector, attr), **kwargs):
+                mode.runs[_leg] += 1
+                return _run(*args, **kwargs)
+
+            monkeypatch.setattr(vector, attr, spy)
+        modes.append(mode)
+        return mode
+
+    yield pin
+    for mode in modes:
+        other = "fallback" if mode == "numpy" else "numpy"
+        assert mode.runs[other] == 0, (
+            f"{mode} mode ran {mode.runs[other]} {other} batch(es)"
+        )

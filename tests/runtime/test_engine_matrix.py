@@ -32,7 +32,6 @@ from repro.monitor.checker import AssertionChecker
 from repro.monitor.engine import run_monitor
 from repro.protocols.fixtures import ocp_simple_vcd
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime import vector as vector_module
 from repro.runtime.engines import (
     AUTO,
     EngineBackend,
@@ -56,13 +55,9 @@ from repro.trace.streaming import StreamingChecker
 
 
 @pytest.fixture(params=["numpy", "fallback"])
-def vector_mode(request, monkeypatch):
+def vector_mode(request, vector_kernel):
     """Run each matrix cell in both kernel modes."""
-    if request.param == "fallback":
-        monkeypatch.setattr(vector_module, "_np", None)
-    elif vector_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
+    return vector_kernel(request.param)
 
 
 def _chart():
@@ -175,6 +170,8 @@ def test_bank_run_batch(engine, vector_mode):
     if engine == "native":
         _native_or_skip()
     _assert_bank_identity(bank.run_batch(traces, engine=engine), reference)
+    if engine == "vector":
+        assert vector_mode.runs[vector_mode] > 0
 
 
 @pytest.mark.parametrize("engine", ["interpreted", "compiled", "vector",

@@ -328,3 +328,17 @@ def test_native_encoded_accepts_every_stream_type():
         compiled,
         [np.asarray(stream, dtype=np.int32) for stream in masks])
     assert [r.detections for r in as_numpy] == expected
+
+
+def test_native_flatten_copies_memoryview_lanes_raw():
+    """Columnar lanes (cast int32 memoryviews, any offset) take the raw
+    byte copy; other memoryviews still flatten element by element."""
+    from array import array
+
+    from repro.runtime.native import _flatten_masks
+
+    payload = memoryview(array("i", range(-3, 9)).tobytes()).cast("i")
+    lanes = [payload[:4], payload[4:4], payload[5:12]]
+    assert _flatten_masks(lanes) == array("i", [-3, -2, -1, 0, 2, 3, 4, 5,
+                                                6, 7, 8])
+    assert _flatten_masks([memoryview(b"\x01\x02")]) == array("i", [1, 2])

@@ -27,7 +27,6 @@ from repro.monitor.engine import run_monitor
 from repro.monitor.scoreboard import Scoreboard
 from repro.protocols.amba.charts import ahb_transaction_chart
 from repro.protocols.ocp import ocp_burst_read_chart, ocp_simple_read_chart
-from repro.runtime import vector as vector_module
 from repro.runtime.compiled import compile_monitor, run_many
 from repro.runtime.vector import run_many_vector
 from repro.synthesis.compose import synthesize_chart
@@ -36,13 +35,9 @@ from repro.trace.shard import run_sharded
 
 
 @pytest.fixture(params=["numpy", "fallback"])
-def vector_mode(request, monkeypatch):
+def vector_mode(request, vector_kernel):
     """Run each differential in both kernel modes."""
-    if request.param == "fallback":
-        monkeypatch.setattr(vector_module, "_np", None)
-    elif vector_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
+    return vector_kernel(request.param)
 
 
 def _random_chart(seed: int):
@@ -113,6 +108,8 @@ def test_vector_matches_compiled_and_interpreted(which, vector_mode):
     # Guard lowering (full-scan ladders, non-exclusive semantics).
     _assert_identical(monitor, compile_monitor(monitor),
                       _traces(chart, 12, seed=5), vector_mode)
+    # The batches ran on the leg under test (NumPy really loaded).
+    assert vector_mode.runs[vector_mode] > 0
 
 
 def test_vector_multiclock_local_monitors(vector_mode):
@@ -636,3 +633,49 @@ def test_bank_encodes_each_trace_once():
     second = codec_module.trace_cache_info()
     assert second["misses"] == first["misses"]
     assert second["hits"] > first["hits"]
+
+
+# ------------------------------------------------------- lazy NumPy ----
+_FIRST_BATCH = (
+    "import sys\n"
+    "from repro.protocols.ocp import ocp_simple_read_chart\n"
+    "from repro.runtime import vector\n"
+    "from repro.runtime.engines import numpy_ready\n"
+    "from repro.synthesis.tr import tr_compiled\n"
+    "ready = numpy_ready()\n"
+    "compiled = tr_compiled(ocp_simple_read_chart())\n"
+    "vector.VectorEngine(compiled, record_history=False).feed_masks([0, 3])\n"
+    "assert 'numpy' not in sys.modules\n"
+    "legs = []\n"
+    "for leg in ('_run_numpy', '_run_fallback'):\n"
+    "    def spy(*args, _leg=leg, _run=getattr(vector, leg)):\n"
+    "        legs.append(_leg)\n"
+    "        return _run(*args)\n"
+    "    setattr(vector, leg, spy)\n"
+    "vector.run_many_vector_encoded(compiled, [[0, 1, 2], [3, 0]])\n"
+    "print(ready, numpy_ready(), legs, 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_first_batch_loads_numpy_in_a_fresh_process(masked):
+    """Without any test fixture in between: lowering and streaming leave
+    NumPy unloaded, the first batch loads it and runs the NumPy leg,
+    and the planner's answer is the same before and after."""
+    import importlib.util
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    env.pop("REPRO_NO_NUMPY", None)
+    if masked:
+        env["REPRO_NO_NUMPY"] = "1"
+    result = subprocess.run([sys.executable, "-c", _FIRST_BATCH], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    live = not masked and importlib.util.find_spec("numpy") is not None
+    leg = "_run_numpy" if live else "_run_fallback"
+    assert result.stdout.split() == [str(live), str(live), f"['{leg}']",
+                                     str(live)]

@@ -1,5 +1,6 @@
 """Tests for the ``.rtrc`` columnar trace store (format + round-trips)."""
 
+import mmap
 import os
 import struct
 import subprocess
@@ -10,7 +11,6 @@ import pytest
 from repro.errors import TraceError
 from repro.logic.codec import AlphabetCodec
 from repro.semantics.run import Trace
-from repro.trace import columnar as columnar_module
 from repro.trace.columnar import (
     RTRC_VERSION,
     ColumnarTraceSet,
@@ -19,13 +19,9 @@ from repro.trace.columnar import (
 
 
 @pytest.fixture(params=["numpy", "fallback"])
-def columnar_mode(request, monkeypatch):
-    """Run each case with and without the NumPy flat buffer."""
-    if request.param == "fallback":
-        monkeypatch.setattr(columnar_module, "_np", None)
-    elif columnar_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
+def columnar_mode(request, vector_kernel):
+    """Run each case on both vector-kernel legs (lanes are NumPy-free)."""
+    return vector_kernel(request.param)
 
 
 def _sample_set(meta=None):
@@ -187,13 +183,10 @@ def test_lazy_load_views_are_mmap_backed(columnar_mode, tmp_path):
     columns = ColumnarTraceSet.load(path, lazy=True)
     assert [list(m) for m in columns.mask_arrays()] == \
         [[0, 1, 3, 2], [5], [], [7, 0]]
-    if columnar_mode == "numpy":
-        # Views window the mapping itself: zero-copy, read-only.
-        assert columns._mmap is not None
-        assert not columns.masks(0).flags.writeable
-    else:
-        # No NumPy: the eager read-and-verify path is kept.
-        assert columns._mmap is None
+    # Views window the mapping itself: zero-copy, read-only, NumPy or
+    # not.
+    assert isinstance(columns.masks(0).obj, mmap.mmap)
+    assert columns.masks(0).readonly
     # The deferred check passes on an undamaged file.
     assert columns.verify_payload() is columns
 
@@ -207,16 +200,11 @@ def test_lazy_load_defers_crc_until_verify_payload(columnar_mode,
     # Eager load still fails closed...
     with pytest.raises(TraceError, match="crc32"):
         ColumnarTraceSet.load(path)
-    if columnar_mode == "numpy":
-        # ...while the lazy load admits the mapping but the deferred
-        # check surfaces the identical TraceError on demand.
-        columns = ColumnarTraceSet.load(path, lazy=True)
-        with pytest.raises(TraceError, match="crc32"):
-            columns.verify_payload()
-    else:
-        # No NumPy: lazy is a no-op and damage is caught at load.
-        with pytest.raises(TraceError, match="crc32"):
-            ColumnarTraceSet.load(path, lazy=True)
+    # ...while the lazy load admits the mapping but the deferred check
+    # surfaces the identical TraceError on demand.
+    columns = ColumnarTraceSet.load(path, lazy=True)
+    with pytest.raises(TraceError, match="crc32"):
+        columns.verify_payload()
 
 
 def test_lazy_load_structural_damage_still_raises_trace_error(
@@ -252,10 +240,123 @@ def test_verify_payload_tracks_recorded_crc(columnar_mode):
     assert loaded.verify_payload() is loaded
 
 
+# --------------------------------------------------- memoryview lanes ----
+def _loaded_sets(tmp_path):
+    """The same set built, parsed from bytes, loaded and lazily loaded."""
+    built = _sample_set()
+    path = tmp_path / "lanes.rtrc"
+    built.save(path)
+    return {
+        "built": built,
+        "bytes": ColumnarTraceSet.from_bytes(built.to_bytes()),
+        "load": ColumnarTraceSet.load(path),
+        "lazy": ColumnarTraceSet.load(path, lazy=True).verify_payload(),
+    }
+
+
+def test_lanes_are_int32_memoryviews(columnar_mode, tmp_path):
+    """One lane form however the set was made; every observer agrees."""
+    sets = _loaded_sets(tmp_path)
+    blob = sets["built"].to_bytes()
+    for how, columns in sets.items():
+        for lane in columns.mask_arrays():
+            assert type(lane) is memoryview and lane.format == "i", how
+        assert [m.tolist() for m in columns.mask_arrays()] == \
+            [[0, 1, 3, 2], [5], [], [7, 0]], how
+        assert columns.to_bytes() == blob, how
+        assert [sorted(v.true) for v in columns.trace(0)] == \
+            [[], ["a"], ["a", "b"], ["b"]], how
+
+
+def test_from_mask_arrays_takes_lanes_of_another_set(columnar_mode,
+                                                     tmp_path):
+    loaded = _loaded_sets(tmp_path)["load"]
+    copied = ColumnarTraceSet.from_mask_arrays(
+        loaded.mask_arrays(), loaded.symbols, meta=loaded.meta)
+    assert copied.to_bytes() == loaded.to_bytes()
+
+
+@pytest.mark.parametrize("engine", ["compiled", "vector", "native"])
+def test_loaded_lanes_feed_every_batch_kernel(columnar_mode, tmp_path,
+                                              engine):
+    """Memoryview lanes run as they are on every batch backend, with
+    the verdicts of the lists they were saved from."""
+    from repro.protocols.fixtures import ocp_simple_scenario_trace
+    from repro.runtime.compiled import run_many_encoded
+    from repro.runtime.engines import backend
+    from repro.protocols.ocp import ocp_simple_read_chart
+    from repro.synthesis.tr import tr_compiled
+
+    if backend(engine).unavailable_reason() is not None:
+        pytest.skip(backend(engine).unavailable_reason())
+    compiled = tr_compiled(ocp_simple_read_chart())
+    traces = [ocp_simple_scenario_trace(seed=seed, repeats=2)
+              for seed in range(3)]
+    masks = compiled.codec.encode_many(traces, as_list=True)
+    path = tmp_path / "corpus.rtrc"
+    ColumnarTraceSet.from_mask_arrays(masks, compiled.codec.symbols).save(path)
+    lanes = ColumnarTraceSet.load(path).mask_arrays()
+    expected = [r.detections for r in run_many_encoded(compiled, masks)]
+    assert any(expected)
+    runner = backend(engine).encoded_runner()
+    assert [r.detections for r in runner(compiled, lanes)] == expected
+    if engine == "vector":
+        assert columnar_mode.runs[columnar_mode] == 1
+
+
+# (magic, version, header, payload) damage -> the TraceError text every
+# loader raises, eager or lazy (strings as the format has always read).
+_DAMAGE = [
+    ("empty", lambda blob, hl: b"",
+     "not a columnar trace (.rtrc) payload"),
+    ("short", lambda blob, hl: blob[:3],
+     "not a columnar trace (.rtrc) payload"),
+    ("bad_magic", lambda blob, hl: b"NOPE" + blob[4:],
+     "not a columnar trace (.rtrc) payload"),
+    ("bad_version",
+     lambda blob, hl: blob[:4] + struct.pack("<I", RTRC_VERSION + 9)
+     + blob[8:],
+     f"columnar trace format version {RTRC_VERSION + 9} unsupported "
+     f"(this build reads version {RTRC_VERSION})"),
+    ("header_truncated", lambda blob, hl: blob[:12 + hl - 1],
+     "truncated columnar trace header"),
+    ("header_json", lambda blob, hl: blob[:13] + bytes([blob[13] ^ 0xFF])
+     + blob[14:],
+     "corrupt columnar trace header"),
+    ("payload_truncated", lambda blob, hl: blob[:-3],
+     "columnar payload is 25 bytes; header promises 28"),
+    ("payload_extra", lambda blob, hl: blob + b"\x00" * 4,
+     "columnar payload is 32 bytes; header promises 28"),
+    ("payload_bitflip",
+     lambda blob, hl: blob[:-2] + bytes([blob[-2] ^ 0x40]) + blob[-1:],
+     "columnar payload failed its crc32 check"),
+]
+
+
+@pytest.mark.parametrize("how", ["bytes", "load", "lazy"])
+@pytest.mark.parametrize("name,damage,message", _DAMAGE,
+                         ids=[case[0] for case in _DAMAGE])
+def test_damage_raises_the_same_trace_error(tmp_path, how, name, damage,
+                                            message):
+    blob = _sample_set().to_bytes()
+    damaged = damage(blob, struct.unpack("<I", blob[8:12])[0])
+    with pytest.raises(TraceError) as caught:
+        if how == "bytes":
+            ColumnarTraceSet.from_bytes(damaged)
+        else:
+            path = tmp_path / f"{name}.rtrc"
+            path.write_bytes(damaged)
+            ColumnarTraceSet.load(path, lazy=how == "lazy").verify_payload()
+    assert str(caught.value) == message
+
+
 # ---------------------------------------------------------- lazy NumPy ----
-@pytest.mark.parametrize("module", ["repro", "repro.trace.vcd_reader"])
+@pytest.mark.parametrize("module", [
+    "repro", "repro.trace.vcd_reader", "repro.cli", "repro.runtime.vector",
+    "repro.runtime.native", "repro.codegen.c_gen", "repro.trace.columnar",
+])
 def test_import_does_not_load_numpy(module):
-    """NumPy loads on first columnar use, never at import time."""
+    """NumPy loads inside a vector batch only, never at import time."""
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     env.pop("REPRO_NO_NUMPY", None)

@@ -22,7 +22,6 @@ from repro.logic.codec import AlphabetCodec
 from repro.protocols.amba.charts import ahb_transaction_chart
 from repro.protocols.fixtures import amba_vcd, ocp_simple_vcd
 from repro.protocols.ocp import ocp_simple_read_chart
-from repro.runtime import vector as vector_module
 from repro.semantics.generator import TraceGenerator
 from repro.synthesis.compose import synthesize_chart
 from repro.synthesis.tr import tr_compiled
@@ -35,14 +34,9 @@ from vcd_reference import reference_masks
 
 
 @pytest.fixture(params=["numpy", "fallback"])
-def columnar_mode(request, monkeypatch):
-    """Run each differential with and without NumPy (both layers)."""
-    if request.param == "fallback":
-        monkeypatch.setattr(columnar_module, "_np", None)
-        monkeypatch.setattr(vector_module, "_np", None)
-    elif columnar_module._np is None:
-        pytest.skip("NumPy not installed; only the fallback mode runs")
-    return request.param
+def columnar_mode(request, vector_kernel):
+    """Run each differential on both vector-kernel legs."""
+    return vector_kernel(request.param)
 
 
 _sequential = reference_masks
@@ -209,15 +203,16 @@ def test_jobs_path_through_real_pool(columnar_mode):
 
 
 def test_no_numpy_subprocess_differential():
-    """REPRO_NO_NUMPY=1 end-to-end: import-time fallback, same masks."""
+    """REPRO_NO_NUMPY=1 end-to-end: NumPy-free kernels, same masks."""
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     script = (
         "from repro.protocols.fixtures import ocp_simple_vcd\n"
         "from repro.protocols.ocp import ocp_simple_read_chart\n"
         "from repro.synthesis.tr import tr_compiled\n"
+        "from repro.runtime import vector\n"
         "from repro.trace import columnar\n"
         "from vcd_reference import reference_masks\n"
-        "assert columnar._np is None\n"
+        "assert vector._numpy() is None\n"
         "text = ocp_simple_vcd(seed=5)\n"
         "compiled = tr_compiled(ocp_simple_read_chart())\n"
         "codec = compiled.codec\n"
@@ -260,6 +255,9 @@ def test_three_path_verdict_identity(columnar_mode, tmp_path, engine):
                            engine=engine, cache=str(cache))
     for a, b, c in zip(streamed, cold, warm):
         assert _report_tuple(a) == _report_tuple(b) == _report_tuple(c)
+    if engine == "vector":
+        # Cold and warm columnar lanes both ran the leg under test.
+        assert columnar_mode.runs[columnar_mode] == 2 * len(dumps)
 
 
 # ----------------------------------- streaming over pre-encoded masks ----

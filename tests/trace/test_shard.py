@@ -322,6 +322,39 @@ def test_run_sharded_shm_handoff_matches_inline(monkeypatch, engine):
     )
 
 
+@pytest.mark.parametrize("handoff", ["shm", "pickle_no_shm",
+                                     "pickle_small_batch"])
+@pytest.mark.parametrize("engine", ["compiled", "vector"])
+def test_run_sharded_encoded_takes_columnar_lanes(monkeypatch, tmp_path,
+                                                 handoff, engine):
+    """Loaded ``.rtrc`` lanes are memoryviews, which do not pickle: every
+    handoff (shared memory, and both pickle routes — shared memory
+    off, or a batch under the shm threshold) must still ship them."""
+    from repro.runtime.compiled import run_many_encoded
+    from repro.trace import shard
+    from repro.trace.columnar import ColumnarTraceSet
+
+    chart = ocp_simple_read_chart()
+    compiled = tr_compiled(chart)
+    masks = compiled.codec.encode_many(_traces(chart, 12), as_list=True)
+    path = tmp_path / "corpus.rtrc"
+    ColumnarTraceSet.from_mask_arrays(masks, compiled.codec.symbols).save(path)
+    lanes = ColumnarTraceSet.load(path).mask_arrays()
+    assert all(type(lane) is memoryview for lane in lanes)
+    if handoff == "shm":
+        _force_shm(monkeypatch)
+    elif handoff == "pickle_no_shm":
+        _force_shm(monkeypatch)
+        monkeypatch.setattr(shard, "_shared_memory", None)
+    else:
+        assert 4 * sum(len(lane) for lane in lanes) < shard._MIN_SHM_BYTES
+    _assert_same(
+        shard.run_sharded_encoded(compiled, lanes, jobs=2,
+                                  oversubscribe=True, engine=engine),
+        run_many_encoded(compiled, masks),
+    )
+
+
 def test_run_bank_sharded_shm_handoff_matches(monkeypatch):
     bank = synthesize_chart(ocp_simple_read_chart())
     traces = _traces(ocp_simple_read_chart(), 8)
